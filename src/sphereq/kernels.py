@@ -192,6 +192,37 @@ def _eval_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
         return val
 
 
+def _t_derivative_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+    """d/dt of the closed form of :func:`_eval_u`, on u = r/2 >= 0."""
+    family, m, s = spec.family, spec.m, spec.s
+    if family not in ("pycke", "cui-freeden", "riesz"):
+        raise CapabilityError(f"no descent derivative for family {family!r}")
+    if m > M_CLOSED_MAX:
+        raise CapabilityError(f"no descent derivative at order m={m}")
+    with np.errstate(divide="ignore", over="ignore"):
+        if family == "cui-freeden":
+            if m == 0:
+                return 1.0 / (2.0 * u * (1.0 + u))
+            if m == 1:
+                return 1.0 / (4.0 * u * (1.0 + u) ** 2)
+            return 1.0 / (8.0 * u * (1.0 + u) ** 3)
+        if family == "riesz" and s != 0.0:
+            # sign(s) 2^(m+1) poch(s/2, m+1) (2u)^(-(s+2(m+1)))
+            poch = 1.0
+            for j in range(m + 1):
+                poch *= s / 2.0 + j
+            c = math.copysign(1.0, s) * 2.0 ** (m + 1) * poch
+            return c * (2.0 * u) ** (-(s + 2 * (m + 1)))
+        # pycke and riesz s = 0 differ only in the 1/(4pi) of the m = 0 form
+        if m == 0:
+            if family == "pycke":
+                return 1.0 / (_FOUR_PI * 2.0 * u * u)
+            return 1.0 / (2.0 * u * u)
+        if m == 1:
+            return 1.0 / (4.0 * u**4)
+        return 2.0 / (8.0 * u**6)
+
+
 def _u_from_t(t: np.ndarray) -> np.ndarray:
     if np.any(t < -1.0) or np.any(t > 1.0):
         raise DomainError("dot-product argument must lie in [-1, 1]")
@@ -231,43 +262,7 @@ def kernel_t_derivative(spec: KernelSpec, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     u = _u_from_t(arr) if spec.convention == DOT_PRODUCT else _u_from_r(arr)
-    u = np.atleast_1d(u)
-    family, m, s = spec.family, spec.m, spec.s
-    with np.errstate(divide="ignore", over="ignore"):
-        if family == "pycke":
-            grads = {
-                0: lambda: 1.0 / (_FOUR_PI * 2.0 * u * u),
-                1: lambda: 1.0 / (4.0 * u**4),
-                2: lambda: 2.0 / (8.0 * u**6),
-            }
-        elif family == "cui-freeden":
-            grads = {
-                0: lambda: 1.0 / (2.0 * u * (1.0 + u)),
-                1: lambda: 1.0 / (4.0 * u * (1.0 + u) ** 2),
-                2: lambda: 1.0 / (8.0 * u * (1.0 + u) ** 3),
-            }
-        elif family == "riesz":
-            if s == 0.0:
-                grads = {
-                    0: lambda: 1.0 / (2.0 * u * u),
-                    1: lambda: 1.0 / (4.0 * u**4),
-                    2: lambda: 2.0 / (8.0 * u**6),
-                }
-            else:
-
-                def _riesz_grad(order):
-                    poch = 1.0
-                    for j in range(order + 1):
-                        poch *= s / 2.0 + j
-                    c = math.copysign(1.0, s) * 2.0 ** (order + 1) * poch
-                    return lambda: c * (2.0 * u) ** (-(s + 2 * (order + 1)))
-
-                grads = {k: _riesz_grad(k) for k in range(3)}
-        else:
-            raise CapabilityError(f"no descent derivative for family {family!r}")
-        if m not in grads:
-            raise CapabilityError(f"no descent derivative at order m={m}")
-        out = grads[m]()
+    out = _t_derivative_u(spec, np.atleast_1d(u))
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

@@ -5,7 +5,8 @@ Three generators:
 * seeded uniform random sampling (normalized Gaussian triples),
 * greedy sequential minimization of the summed kernel against the points
   placed so far (argmin over a spherical Fibonacci grid, then polished by
-  tangent-plane descent),
+  tangent-plane descent whose backtracking line search scores every trial
+  step length in one batched kernel evaluation),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularKernelError
+from .errors import ConfigurationError, DomainError
 from .discrepancy import _COINCIDENCE_T, PointSet, mean_pair_discrepancy
 from .kernels import (
     KernelSpec,
@@ -102,10 +103,34 @@ def _dots(pts: np.ndarray, eta: np.ndarray) -> np.ndarray:
     )
 
 
-def _objective(pts: np.ndarray, spec: KernelSpec, eta: np.ndarray) -> float:
+def _masked_kernel(
+    spec: KernelSpec, t: np.ndarray, coincident_t: float
+) -> np.ndarray:
+    """K(t), with +inf where t >= coincident_t for a K singular at coincidence.
+
+    Those entries of ``t`` are overwritten in place and never reach
+    :func:`kernel_eval`, so it does not raise.
+    """
+    hit = t >= coincident_t if is_singular_at_coincidence(spec) else None
+    coincident = hit is not None and bool(hit.any())
+    if coincident:
+        t[hit] = 0.0  # any safe argument; overwritten below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = kernel_eval(spec, _dots(pts, eta))
-    return float(np.sum(vals))
+        vals = kernel_eval(spec, t)
+    if coincident:
+        vals[hit] = np.inf
+    return vals
+
+
+def _objective(pts: np.ndarray, spec: KernelSpec, etas: np.ndarray) -> np.ndarray:
+    """sum_i K(x_i . eta) for every row eta of ``etas``, in one kernel call.
+
+    A row that lands exactly on a node (t == 1) of a kernel singular at
+    coincidence scores +inf.  Each row sum is bit for bit the 1-D sum of
+    that row alone.
+    """
+    t = _dots(pts, etas.T[:, :, None])  # (rows, nodes): each eta[c] is a column
+    return np.sum(_masked_kernel(spec, t, 1.0), axis=1)
 
 
 def _polish(
@@ -116,8 +141,24 @@ def _polish(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Tangent-plane descent of sum_i K(x_i . eta), re-normalized each step."""
-    f = _objective(pts, spec, eta)
+    """Tangent-plane descent of sum_i K(x_i . eta), re-normalized each step.
+
+    Each iteration is a backtracking line search along the negative tangent
+    gradient over the step lengths step0, step0/2, step0/4, ... > tol.  All
+    trial points are normalized and scored in one batched kernel evaluation,
+    and the longest step that lowers the objective is taken, exactly as a
+    sequential halving search would take it.  A trial that lands on a node
+    scores +inf and is passed over.  Descent stops when no step lowers the
+    objective, the gradient vanishes, or an accepted step is shorter than
+    ``tol``.
+    """
+    alphas = []
+    alpha = step0
+    while alpha > tol:
+        alphas.append(alpha)
+        alpha *= 0.5
+    alphas = np.array(alphas)[:, None]
+    f = _objective(pts, spec, eta[None, :])[0]
     for _ in range(max_iter):
         t = _dots(pts, eta)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -127,25 +168,17 @@ def _polish(
         g_norm = float(np.sqrt(np.dot(g_t, g_t)))
         if g_norm == 0.0 or not math.isfinite(g_norm):
             break
-        direction = g_t / g_norm
-        alpha = step0
-        moved = False
-        while alpha > tol:
-            trial = eta - alpha * direction
-            trial /= math.sqrt(float(np.dot(trial, trial)))
-            try:
-                f_trial = _objective(pts, spec, trial)
-            except SingularKernelError:  # trial landed exactly on a node
-                f_trial = math.inf
-            if f_trial < f:
-                step = float(np.sqrt(np.sum((trial - eta) ** 2)))
-                eta, f = trial, f_trial
-                moved = True
-                if step < tol:
-                    return eta
-                break
-            alpha *= 0.5
-        if not moved:
+        trials = eta - alphas * (g_t / g_norm)
+        # np.vecdot rounds as np.dot does on one row; np.sum(v * v) does not
+        trials /= np.sqrt(np.vecdot(trials, trials))[:, None]
+        f_trials = _objective(pts, spec, trials)
+        lower = np.flatnonzero(f_trials < f)
+        if lower.size == 0:
+            break
+        trial = trials[lower[0]]
+        step = float(np.sqrt(np.sum((trial - eta) ** 2)))
+        eta, f = trial, f_trials[lower[0]]
+        if step < tol:
             break
     return eta
 
@@ -163,16 +196,7 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
 
 def _grid_kernel(spec: KernelSpec, grid_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K(grid . x) for every candidate; +inf where a singular K meets x."""
-    t = _dots(grid_pts, x)
-    hit = t >= _COINCIDENCE_T if is_singular_at_coincidence(spec) else None
-    coincident = hit is not None and bool(hit.any())
-    if coincident:
-        t[hit] = 0.0  # any safe argument; overwritten below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = kernel_eval(spec, t)
-    if coincident:
-        vals[hit] = np.inf
-    return vals
+    return _masked_kernel(spec, _dots(grid_pts, x), _COINCIDENCE_T)
 
 
 def _grid_scores(
@@ -224,8 +248,9 @@ def greedy_generate(
 def knn_indices(pts: PointSet, k: int) -> np.ndarray:
     """(N, k) indices of each point's k nearest neighbors (chordal metric).
 
-    Brute-force O(N^2) scan; ties break toward the lower index; a point is
-    never its own neighbor.
+    Brute-force O(N^2) scan with a partial sort per row; ties break toward
+    the lower index, also at the k-th distance; a point is never its own
+    neighbor.
     """
     n = len(pts)
     if k >= n:
@@ -242,8 +267,15 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
         ),
     )
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, near, axis=1)
+    out = np.take_along_axis(near, np.lexsort((near, dist)), axis=1)
+    # argpartition picks arbitrarily among values tied at the k-th distance;
+    # such rows take the first k of a stable sort instead
+    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) > k
+    if tied.any():
+        out[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def riesz_refine(

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereq import pointgen
-from sphereq.errors import ConfigurationError, DomainError
-from sphereq.kernels import KernelSpec, parse_kernel
+from sphereq.errors import ConfigurationError, DomainError, SingularKernelError
+from sphereq.kernels import KernelSpec, kernel_eval, kernel_t_derivative, parse_kernel
 from sphereq.discrepancy import (
     _COINCIDENCE_T,
     EXCLUDE,
@@ -27,6 +29,47 @@ from sphereq.pointgen import (
 
 CF = KernelSpec("cui-freeden")
 PYCKE = KernelSpec("pycke")
+
+
+def _objective_oracle(pts, spec, eta):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = kernel_eval(spec, pointgen._dots(pts, eta))
+    return float(np.sum(vals))
+
+
+def _polish_oracle(eta, pts, spec, step0, tol=1e-10, max_iter=200):
+    """Reference polish: one objective evaluation per backtracking trial."""
+    f = _objective_oracle(pts, spec, eta)
+    for _ in range(max_iter):
+        t = pointgen._dots(pts, eta)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dk = np.atleast_1d(kernel_t_derivative(spec, t))
+        grad = np.sum(dk[:, None] * pts, axis=0)
+        g_t = grad - np.dot(grad, eta) * eta
+        g_norm = float(np.sqrt(np.dot(g_t, g_t)))
+        if g_norm == 0.0 or not math.isfinite(g_norm):
+            break
+        direction = g_t / g_norm
+        alpha = step0
+        moved = False
+        while alpha > tol:
+            trial = eta - alpha * direction
+            trial /= math.sqrt(float(np.dot(trial, trial)))
+            try:
+                f_trial = _objective_oracle(pts, spec, trial)
+            except SingularKernelError:  # trial landed exactly on a node
+                f_trial = math.inf
+            if f_trial < f:
+                step = float(np.sqrt(np.sum((trial - eta) ** 2)))
+                eta, f = trial, f_trial
+                moved = True
+                if step < tol:
+                    return eta
+                break
+            alpha *= 0.5
+        if not moved:
+            break
+    return eta
 
 
 def tetrahedron() -> PointSet:
@@ -150,6 +193,71 @@ def test_polish_rejects_trial_on_a_node(name):
     assert np.max(nodes @ out) < _COINCIDENCE_T
 
 
+@pytest.mark.parametrize("name", ["pycke", "pycke:d1", "pycke:d2"])
+def test_polish_passes_over_one_trial_on_a_node(name):
+    # Nodes a, b and c lie on the great circle y = 0 through eta; descent
+    # from eta steps toward -x.  Of the trials at steps 0.5, 0.25, 0.125, ...
+    # the first scores above eta (it lands near c), the second is b bit for
+    # bit, and the third must still be taken.
+    eta = np.array([0.0, 0.0, 1.0])
+
+    def trial(alpha):
+        v = eta - alpha * np.array([1.0, 0.0, 0.0])
+        return v / math.sqrt(float(np.dot(v, v)))
+
+    a = np.array([0.0625, 0.0, 1.0]) / math.sqrt(0.0625**2 + 1.0)
+    b = trial(0.25)
+    c = np.array([-0.52, 0.0, 1.0]) / math.sqrt(0.52**2 + 1.0)
+    nodes = np.array([a, b, c])
+    trials = [trial(0.5 * 0.5**j) for j in range(33)]  # every step > 1e-10
+    on_a_node = [np.any(pointgen._dots(nodes, x) == 1.0) for x in trials]
+    assert on_a_node == [j == 1 for j in range(33)]
+    spec = parse_kernel(name)
+    first = pointgen._polish(eta, nodes, spec, 0.5, max_iter=1)
+    assert np.array_equal(first, trials[2])
+    out = pointgen._polish(eta, nodes, spec, 0.5)
+    assert np.array_equal(out, _polish_oracle(eta, nodes, spec, 0.5))
+
+
+@pytest.mark.parametrize(
+    "name", ["pycke", "pycke:d1", "pycke:d2", "cui-freeden", "riesz:s=1"]
+)
+def test_polish_matches_scalar_oracle(name):
+    spec = parse_kernel(name)
+    for seed in range(4):
+        for n in (1, 7, 40):
+            nodes = random_unit_points(n, seed).points
+            eta = random_unit_points(1, 100 + seed).points[0]
+            for step0 in (0.5, 4.0 / math.sqrt(8192)):
+                out = pointgen._polish(eta, nodes, spec, step0)
+                assert np.array_equal(out, _polish_oracle(eta, nodes, spec, step0))
+
+
+@pytest.mark.parametrize("name", ["pycke", "pycke:d1", "pycke:d2"])
+def test_greedy_generate_matches_oracle_polish(name, monkeypatch):
+    spec = parse_kernel(name)
+    fast = greedy_generate(16, spec, seed=2, grid_size=1024).points
+    monkeypatch.setattr(pointgen, "_polish", _polish_oracle)
+    oracle = greedy_generate(16, spec, seed=2, grid_size=1024).points
+    assert np.array_equal(fast, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["pycke", "pycke:d1", "pycke:d2", "cui-freeden"]),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**31),
+    step0=st.sampled_from([0.5, 0.125, 4.0 / math.sqrt(8192)]),
+)
+def test_polish_descends_and_stays_on_sphere(name, n, seed, step0):
+    spec = parse_kernel(name)
+    nodes = random_unit_points(n, seed).points
+    eta = random_unit_points(1, seed + 1).points[0]
+    out = pointgen._polish(eta, nodes, spec, step0)
+    assert _objective_oracle(nodes, spec, out) <= _objective_oracle(nodes, spec, eta)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
 def test_greedy_generate_places_every_grid_point_then_stops(monkeypatch):
     monkeypatch.setattr(pointgen, "_polish", lambda eta, *args, **kwargs: eta)
     grid = candidate_grid(256).points.points
@@ -193,6 +301,15 @@ def test_knn_tetrahedron():
     idx = knn_indices(tetrahedron(), 3)
     for i in range(4):
         assert sorted(idx[i]) == sorted(set(range(4)) - {i})
+
+
+def test_knn_tie_at_kth_distance_breaks_to_lower_index():
+    # each octahedron vertex has four neighbors at one distance: keep the
+    # three with the lowest indices
+    pts = PointSet(np.vstack([np.eye(3), -np.eye(3)]))
+    idx = knn_indices(pts, 3)
+    for i in range(6):
+        assert list(idx[i]) == sorted(set(range(6)) - {i, (i + 3) % 6})[:3]
 
 
 def test_knn_antipodal_pair():
