@@ -1,12 +1,13 @@
 """Legendre polynomials: values, derivatives of any order, norms, and the
 spherical-harmonic dimension count.
 
-Runtime evaluation uses the stable three-term (Bonnet) recurrence; the m-th
-derivative is carried alongside the value by differentiating the recurrence m
-times (Leibniz in the ``x`` factor), which costs O(n*m) and stays
-forward-stable on [-1, 1].  An exact rational construction from Rodrigues'
-formula is kept as a small-degree oracle; expanding it symbolically costs
-O(2^n), so it is never used for runtime evaluation.
+Runtime evaluation uses one recurrence, :func:`derivative_recurrence`: the
+stable three-term (Bonnet) recurrence for the values, with the m-th
+derivative carried alongside by differentiating it m times (Leibniz in the
+``x`` factor), which costs O(n*m) and stays forward-stable on [-1, 1].  An
+exact rational construction from Rodrigues' formula is kept as a
+small-degree oracle; expanding it symbolically costs O(2^n), so it is never
+used for runtime evaluation.
 """
 
 from __future__ import annotations
@@ -51,25 +52,14 @@ def legendre_eval(n: int, x):
     -------
     float or ndarray with P_n(x), normalized so that P_n(1) = 1.
     """
-    n = _check_degree(n)
-    arr = _check_x(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    p_prev = np.ones_like(arr)
-    if n == 0:
-        return float(p_prev[0]) if scalar else p_prev
-    p_cur = arr.copy()
-    for k in range(1, n):
-        p_next = ((2 * k + 1) * arr * p_cur - k * p_prev) / (k + 1)
-        p_prev, p_cur = p_cur, p_next
-    return float(p_cur[0]) if scalar else p_cur
+    return legendre_derivative_eval(n, 0, x)
 
 
 def legendre_derivative_eval(n: int, m: int, x):
     """Evaluate the m-th derivative d^m P_n / dx^m.
 
-    For ``m == 0`` this equals :func:`legendre_eval`; for ``m > n`` the result
-    is exactly zero.
+    For ``m == 0`` this is P_n itself; for ``m > n`` the result is exactly
+    zero.
     """
     n = _check_degree(n)
     if m != int(m) or m < 0:
@@ -81,12 +71,9 @@ def legendre_derivative_eval(n: int, m: int, x):
     if m > n:
         out = np.zeros_like(arr)
         return 0.0 if scalar else out
-    if m == 0:
-        return legendre_eval(n, x)
-    values = None
-    for k, table in enumerate(derivative_recurrence(n, m, arr)):
-        if k == n:
-            values = table[m]
+    for table in derivative_recurrence(n, m, arr):
+        pass
+    values = table[m]
     return float(values[0]) if scalar else values
 
 

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphereq import discrepancy
 from sphereq.errors import CapabilityError, DomainError, SingularKernelError
-from sphereq.kernels import KernelSpec, kernel_eval
+from sphereq.kernels import KernelSpec, SymbolSequence, kernel_eval
+from sphereq.legendre import derivative_recurrence
+from sphereq.summation import block_sum, neumaier_sum
 from sphereq.discrepancy import (
     EXCLUDE,
     INCLUDE,
@@ -16,6 +21,7 @@ from sphereq.discrepancy import (
     mean_pair_discrepancy,
     measure_inner_product,
     min_generalized_discrepancy,
+    pair_dot_matrix,
     rms_discrepancy,
     series_generalized_discrepancy,
     signed_discrepancy,
@@ -190,6 +196,125 @@ def test_series_closed_form_coherence_random_sets():
         assert series.value * scale == pytest.approx(closed.value, rel=2e-3)
 
 
+# --- series routes against the derivative-stack oracle ------------------------
+
+def _stack_sums(pts, n_max, m):
+    """sum_ij P_n^(j)(x_i . x_j) for j = 0..m, n = 0..n_max, as a (m+1, n_max+1)
+    array: the derivative stack of the Bonnet recurrence over the Gram matrix."""
+    t = pair_dot_matrix(pts).ravel()
+    return np.array(
+        [[block_sum(row) for row in stack] for stack in derivative_recurrence(n_max, m, t)]
+    ).T
+
+
+def _series_oracle(stack_sums, n_points, family, m, s=None):
+    """The series report arithmetic on the derivative-stack sums of order m,
+    as the score was computed before the power-sum routes: (value, tail, flags)."""
+    n_max = stack_sums.shape[1] - 1
+    weights = SymbolSequence(family, s).series_weights(n_max)
+    terms = []
+    for n in range(1, n_max + 1):
+        if weights[n] != 0.0:
+            terms.append(weights[n] * stack_sums[m][n])
+    flags = []
+    if not terms:
+        total = tail = 0.0
+        flags.append("empty_sum")
+    else:
+        total = neumaier_sum(terms)
+        tail = abs(terms[-1])
+        tail_block = abs(neumaier_sum(terms[-max(1, len(terms) // 10) :]))
+        if tail_block > 1e-3 * max(1.0, abs(total)):
+            flags.append("non_convergent")
+    if total < 0.0:
+        flags.append("negative_sum")
+    return math.sqrt(max(0.0, total)) / n_points, tail, flags
+
+
+SERIES_FAMILIES = (("pycke", None), ("cui-freeden", None), ("gine", None), ("riesz", 0.5))
+
+
+@pytest.mark.parametrize("n_points", [4, 15, 86, 151, 400])
+def test_series_matches_derivative_stack_oracle(n_points):
+    # N <= n_max takes the Gram route, N > n_max the spectral route
+    pts = random_points(n_points, 60 + n_points)
+    for n_max in (30, 90, 300):
+        sums = _stack_sums(pts, n_max, discrepancy.M_SERIES_MAX)
+        for m in range(discrepancy.M_SERIES_MAX + 1):
+            for family, s in SERIES_FAMILIES:
+                value, tail, flags = _series_oracle(sums, n_points, family, m, s)
+                report = series_generalized_discrepancy(pts, family, m, n_max, s)
+                assert report.value == pytest.approx(value, rel=1e-12, abs=0)
+                assert report.tail_estimate == pytest.approx(tail, rel=1e-12, abs=0)
+                assert report.flags == flags
+                if m == 0 and n_max >= n_points:
+                    # the Gram route at m = 0 is the oracle's arithmetic
+                    assert (report.value, report.tail_estimate) == (value, tail)
+
+
+def test_series_route_selection(monkeypatch):
+    calls = []
+
+    def stub(name):
+        def power_sums(pts, n_max):
+            calls.append(name)
+            return np.zeros(n_max + 1)
+        return power_sums
+
+    monkeypatch.setattr(discrepancy, "_power_sums_gram", stub("gram"))
+    monkeypatch.setattr(discrepancy, "_power_sums_spectral", stub("spectral"))
+    cap = discrepancy.SPECTRAL_NMAX_MAX
+    cases = [(90, 90, "gram"), (91, 90, "spectral"), (cap + 2, cap, "spectral"),
+             (cap + 2, cap + 1, "gram")]
+    for n_points, n_max, route in cases:
+        calls.clear()
+        series_generalized_discrepancy(random_points(n_points, 1), "pycke", 0, n_max)
+        assert calls == [route], (n_points, n_max)
+
+
+def test_spectral_power_sums_at_the_degree_cap():
+    # points 0.02 to 0.3 rad from either pole, where sin(theta)^k underflows
+    # below the cap.  Each route alone is off by up to ~1.3e-12 N from an
+    # extended-precision evaluation at this degree (20 seeds measured), so
+    # they are compared to a few times that.
+    rng = np.random.default_rng(17)
+    n = 50
+    theta = rng.uniform(0.02, 0.3, n)
+    theta = np.where(rng.random(n) < 0.5, theta, math.pi - theta)
+    phi = rng.uniform(0.0, 2 * math.pi, n)
+    raw = np.column_stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
+    pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+    n_max = discrepancy.SPECTRAL_NMAX_MAX
+    spectral = discrepancy._power_sums_spectral(pts, n_max)
+    gram = discrepancy._power_sums_gram(pts, n_max)
+    assert np.all(np.isfinite(spectral))
+    assert np.max(np.abs(spectral - gram)) <= 4e-12 * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(2, 40),
+    m=st.integers(0, discrepancy.M_SERIES_MAX),
+    family=st.sampled_from(["pycke", "cui-freeden"]),
+)
+def test_series_rotation_and_permutation_invariance(seed, n_points, m, family):
+    # n_max = 20 puts N <= 20 on the Gram route and N > 20 on the spectral one
+    pts = random_points(n_points, seed)
+    order = np.random.default_rng(seed).permutation(n_points)
+    moved = (
+        PointSet(pts.points @ random_rotation(seed).T),
+        PointSet(pts.points[order]),
+    )
+    base = series_generalized_discrepancy(pts, family, m, 20)
+    for other in moved:
+        report = series_generalized_discrepancy(other, family, m, 20)
+        assert report.value == pytest.approx(base.value, rel=1e-12, abs=0)
+        assert report.tail_estimate == pytest.approx(base.tail_estimate, rel=1e-12, abs=0)
+
+
 # --- min over derivative orders ----------------------------------------------
 
 def test_min_singleton_range():
@@ -213,6 +338,34 @@ def test_min_is_bounded_by_order_zero():
     _, best = min_generalized_discrepancy(pts, "cui-freeden", (0, 1, 2), 500)
     base = series_generalized_discrepancy(pts, "cui-freeden", 0, 500)
     assert best.value <= base.value
+
+
+@pytest.mark.parametrize("n_points, n_max", [(40, 60), (151, 90)])
+def test_min_report_equals_series_at_the_best_order(n_points, n_max, monkeypatch):
+    # one power-sum pass serves every order, on either route
+    pts = random_points(n_points, 11)
+    passes = []
+    power_sums = discrepancy._power_sums
+
+    def counted(*args):
+        passes.append(args)
+        return power_sums(*args)
+
+    monkeypatch.setattr(discrepancy, "_power_sums", counted)
+    for family in ("pycke", "cui-freeden"):
+        passes.clear()
+        m_star, best = min_generalized_discrepancy(pts, family, (0, 1, 2), n_max)
+        assert len(passes) == 1
+        direct = [series_generalized_discrepancy(pts, family, m, n_max) for m in (0, 1, 2)]
+        assert m_star == min(range(3), key=lambda m: direct[m].value)
+        assert best == direct[m_star]
+
+
+def test_min_validates_every_order():
+    with pytest.raises(CapabilityError):
+        min_generalized_discrepancy(tetrahedron(), "cui-freeden", (0, 5), 50)
+    with pytest.raises(DomainError):
+        min_generalized_discrepancy(tetrahedron(), "cui-freeden", (), 50)
 
 
 # --- signed measures ----------------------------------------------------------

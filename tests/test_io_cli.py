@@ -138,6 +138,23 @@ def test_cli_score_series(tmp_path, capsys):
     assert payload["n_max"] == 500
 
 
+def test_cli_series_score_thread_independent(tmp_path, monkeypatch):
+    # N = 160 > n_max = 90: the spectral route, which table-1 determinism
+    # (N = 15 and 43, the Gram route) does not reach
+    pts_path = tmp_path / "pts.csv"
+    write_pointset(pts_path, random_unit_points(160, seed=8))
+    for m in ("0", "1", "2"):
+        outputs = []
+        for threads in ("1", "4", "1"):
+            monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
+            out = tmp_path / f"score_{m}_{len(outputs)}.json"
+            assert main(["score", str(pts_path), "--kernel", "pycke", "--nmax", "90",
+                         "--m", m, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["N"] == 160
+
+
 def test_cli_refine_writes_history(tmp_path):
     out = tmp_path / "refined.csv"
     assert main(["refine", "--n", "30", "--seed", "3", "--iters", "20",
