@@ -4,12 +4,17 @@ The interpolant is a kernel sum plus a low-degree polynomial tail,
 
     f(x) = sum_i w_i K(eps * |x - x_i|) + sum_j b_j p_j(x),
 
-fitted through the symmetric saddle system [[K + sigma^2 I, P], [P^T, 0]]
+fitted through the symmetric saddle system G = [[K + sigma^2 I, P], [P^T, 0]]
 with the side condition P^T w = 0.  The shape parameter enters as K(eps*r)
 in the chordal convention.  Leave-one-out cross-validation comes in two
 flavors: the O(N^4) refit-per-point definition (kept as an oracle) and the
-O(N^3) shortcut e_v = c_v / (G^{-1})_vv from one factorization of the full
-saddle matrix.
+shortcut e_v = c_v / (G^{-1})_vv.  The shortcut factors the indefinite G once
+as a Bunch-Kaufman LDL^T and takes c, diag(G^{-1}) and an O(N^2) condition
+estimate from that factor.  A shape-parameter sweep computes the distances
+and the tail block once and rebuilds only the kernel block per epsilon.
+Outputs are byte-stable for a fixed OPENBLAS_NUM_THREADS, but not across BLAS
+thread counts: the distance product and LAPACK round differently with more
+threads.  SPHERE_EQ_THREADS does not affect this module.
 """
 
 from __future__ import annotations
@@ -20,13 +25,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import (
-    CapabilityError,
-    ConditioningError,
-    ConfigurationError,
-    DomainError,
-)
+from .errors import CapabilityError, ConditioningError, ConfigurationError, DomainError
 from .discrepancy import PointSet
 from .kernels import CHORDAL, KernelSpec, is_singular_at_coincidence, kernel_eval
 
@@ -74,27 +75,6 @@ def _chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * t))
 
 
-def _kernel_matrix(
-    spec: KernelSpec, r: np.ndarray, epsilon: float, sigma: float, diagonal: bool
-) -> np.ndarray:
-    """Kernel block K(eps*r); singular kernels get a zero diagonal limit."""
-    cspec = spec.with_convention(CHORDAL)
-    if is_singular_at_coincidence(spec):
-        if diagonal and sigma <= 0.0:
-            raise CapabilityError(
-                f"{spec.name} is singular at r=0: fitting requires sigma > 0"
-            )
-        scaled = epsilon * r
-        if diagonal:
-            scaled = scaled.copy()
-            np.fill_diagonal(scaled, 1.0)  # placeholder, overwritten below
-        k = np.atleast_2d(kernel_eval(cspec, scaled))
-        if diagonal:
-            np.fill_diagonal(k, 0.0)
-        return k
-    return np.atleast_2d(kernel_eval(cspec, epsilon * r))
-
-
 @dataclass
 class InterpolantModel:
     """A fitted kernel interpolant."""
@@ -120,22 +100,33 @@ class InterpolantModel:
         }
 
 
-def _assemble(centers, y, spec, epsilon, sigma, poly_degree):
+def _geometry(centers, poly_degree):
+    """Chordal distances and monomial block; neither depends on epsilon."""
     pts = centers.points
-    n = pts.shape[0]
     r = _chordal(pts, pts)
-    off = r + np.eye(n)
-    if np.any(off == 0.0):
+    if np.any(r + np.eye(pts.shape[0]) == 0.0):
         raise DomainError("duplicate interpolation centers")
-    k = _kernel_matrix(spec, r, epsilon, sigma, diagonal=True)
-    p = monomial_basis(pts, poly_degree)
-    m = p.shape[1]
+    return r, monomial_basis(pts, poly_degree)
+
+
+def _saddle(r, p, spec, epsilon, sigma):
+    """G = [[K(eps r) + sigma^2 I, P], [P^T, 0]]; a kernel singular at r = 0
+    takes its zero diagonal limit, which needs sigma > 0 to stay invertible."""
+    n, m = p.shape
+    singular = is_singular_at_coincidence(spec)
+    if singular and sigma <= 0.0:
+        raise CapabilityError(f"{spec.name} is singular at r=0: fitting requires sigma > 0")
+    scaled, diag = epsilon * r, np.arange(n)
+    if singular:
+        scaled[diag, diag] = 1.0  # placeholder argument, overwritten below
     g = np.zeros((n + m, n + m))
-    g[:n, :n] = k + sigma**2 * np.eye(n)
+    g[:n, :n] = kernel_eval(spec.with_convention(CHORDAL), scaled)
+    if singular:
+        g[diag, diag] = 0.0
+    g[diag, diag] += sigma**2
     g[:n, n:] = p
     g[n:, :n] = p.T
-    rhs = np.concatenate([np.asarray(y, dtype=float), np.zeros(m)])
-    return g, rhs, m
+    return g
 
 
 def fit_interpolant(
@@ -154,7 +145,8 @@ def fit_interpolant(
     y = np.asarray(y, dtype=float).ravel()
     if y.size != len(centers):
         raise DomainError("one observation per center required")
-    g, rhs, m = _assemble(centers, y, spec, epsilon, sigma, poly_degree)
+    g = _saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma)
+    rhs = np.concatenate([y, np.zeros(g.shape[0] - y.size)])
     try:
         coeff = scipy.linalg.solve(g, rhs, assume_a="sym")
     except scipy.linalg.LinAlgError as exc:
@@ -167,16 +159,8 @@ def fit_interpolant(
             condition_estimate=float(np.linalg.cond(g)),
         )
     n = len(centers)
-    return InterpolantModel(
-        centers=centers,
-        values=y,
-        spec=spec,
-        epsilon=epsilon,
-        sigma=sigma,
-        poly_degree=poly_degree,
-        w=coeff[:n],
-        b=coeff[n:],
-    )
+    return InterpolantModel(centers=centers, values=y, spec=spec, epsilon=epsilon, sigma=sigma,
+                            poly_degree=poly_degree, w=coeff[:n], b=coeff[n:])
 
 
 def interpolant_eval(model: InterpolantModel, p):
@@ -185,7 +169,7 @@ def interpolant_eval(model: InterpolantModel, p):
     single = p.ndim == 1
     q = np.atleast_2d(p)
     r = _chordal(q, model.centers.points)
-    k = _kernel_matrix(model.spec, r, model.epsilon, model.sigma, diagonal=False)
+    k = kernel_eval(model.spec.with_convention(CHORDAL), model.epsilon * r)
     out = k @ model.w
     if model.b.size:
         out = out + monomial_basis(q, model.poly_degree) @ model.b
@@ -222,6 +206,24 @@ def loocv_errors_slow(
     return errors
 
 
+def _loocv(g, y):
+    """e_v = c_v / (G^{-1})_vv from one LDL^T factor of the indefinite G (no
+    Cholesky), which also gives the condition estimate; a singular G raises."""
+    n = y.size
+    lwork = int(lapack.dsytrf_lwork(g.shape[0])[0])
+    ldu, piv, info = lapack.dsytrf(g, lwork=lwork)
+    rcond = lapack.dsycon(ldu, piv, np.linalg.norm(g, 1))[0] if info == 0 else 0.0
+    if not rcond >= np.finfo(float).eps:
+        cond = 1.0 / rcond if rcond else math.inf
+        raise ConditioningError("full system is not invertible", condition_estimate=cond)
+    rhs = np.concatenate([y, np.zeros(g.shape[0] - n)])
+    c = lapack.dsytrs(ldu, piv, rhs[:, None])[0][:n, 0]
+    diag = np.diagonal(lapack.dsytri(ldu, piv)[0])[:n]
+    if not (np.all(np.isfinite(c)) and np.all(diag != 0.0)):
+        raise ConditioningError("shortcut diagonal is degenerate", condition_estimate=1.0 / rcond)
+    return c / diag
+
+
 def loocv_errors_fast(
     centers: PointSet,
     y,
@@ -232,24 +234,9 @@ def loocv_errors_fast(
 ) -> np.ndarray:
     """Leave-one-out errors from one factorization: e_v = c_v / (G^{-1})_vv."""
     y = np.asarray(y, dtype=float).ravel()
-    n = len(centers)
-    g, rhs, _ = _assemble(centers, y, spec, epsilon, sigma, poly_degree)
-    try:
-        lu, piv = scipy.linalg.lu_factor(g)
-        c = scipy.linalg.lu_solve((lu, piv), rhs)
-        g_inv = scipy.linalg.lu_solve((lu, piv), np.eye(g.shape[0]))
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            "full system is not invertible",
-            condition_estimate=float(np.linalg.cond(g)),
-        ) from exc
-    diag = np.diagonal(g_inv)[:n]
-    if not (np.all(np.isfinite(c)) and np.all(diag != 0.0)):
-        raise ConditioningError(
-            "shortcut diagonal is degenerate",
-            condition_estimate=float(np.linalg.cond(g)),
-        )
-    return c[:n] / diag
+    if y.size != len(centers):
+        raise DomainError("one observation per center required")
+    return _loocv(_saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma), y)
 
 
 @dataclass
@@ -280,10 +267,17 @@ def epsilon_sweep(
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
         raise DomainError("epsilon grid must be non-empty and positive")
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != len(centers):
+        raise DomainError("one observation per center required")
+    try:
+        r, p = _geometry(centers, poly_degree)
+    except DomainError as exc:
+        raise ConfigurationError("every grid point failed to fit") from exc
     report = SweepReport()
     for eps in eps_grid:
         try:
-            errs = loocv_errors_fast(centers, y, spec, eps, sigma, poly_degree)
+            errs = _loocv(_saddle(r, p, spec, eps, sigma), y)
             mse = float(np.mean(errs**2))
             if not math.isfinite(mse):
                 raise ConditioningError("non-finite cross-validation error")

@@ -32,6 +32,9 @@ from .kernels import (
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
+#: Row block of the k-NN scan: a (KNN_ROWS, N) distance block at a time.
+KNN_ROWS = 128
+
 
 @dataclass(frozen=True)
 class RefineParams:
@@ -250,23 +253,32 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
 
     Brute-force O(N^2) scan with a partial sort per row; ties break toward
     the lower index, also at the k-th distance; a point is never its own
-    neighbor.
+    neighbor.  Rows go in blocks of KNN_ROWS, so no N x N array is made.
     """
     n = len(pts)
     if k >= n:
         raise DomainError("k must be smaller than the number of points")
-    p = pts.points
+    out = np.empty((n, k), dtype=np.intp)
+    for i0 in range(0, n, KNN_ROWS):
+        i1 = min(i0 + KNN_ROWS, n)
+        out[i0:i1] = _knn_rows(pts.points, i0, i1, k)
+    return out
+
+
+def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int) -> np.ndarray:
+    q = p[i0:i1]
     d2 = np.maximum(
         0.0,
         2.0
         - 2.0
         * (
-            p[:, 0][:, None] * p[:, 0][None, :]
-            + p[:, 1][:, None] * p[:, 1][None, :]
-            + p[:, 2][:, None] * p[:, 2][None, :]
+            q[:, 0][:, None] * p[:, 0][None, :]
+            + q[:, 1][:, None] * p[:, 1][None, :]
+            + q[:, 2][:, None] * p[:, 2][None, :]
         ),
     )
-    np.fill_diagonal(d2, np.inf)
+    rows = np.arange(i1 - i0)
+    d2[rows, rows + i0] = np.inf
     near = np.argpartition(d2, k - 1, axis=1)[:, :k]
     dist = np.take_along_axis(d2, near, axis=1)
     out = np.take_along_axis(near, np.lexsort((near, dist)), axis=1)

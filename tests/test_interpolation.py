@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphereq.errors import CapabilityError, ConfigurationError, DomainError
+from sphereq.errors import (
+    CapabilityError,
+    ConditioningError,
+    ConfigurationError,
+    DomainError,
+)
 from sphereq.kernels import KernelSpec
 from sphereq.discrepancy import PointSet
 from sphereq.pointgen import candidate_grid, random_unit_points
@@ -191,7 +198,122 @@ def test_loocv_panel_fast_equals_slow():
         assert np.max(np.abs(slow - fast)) < 1e-8
 
 
+def fibonacci_lattice(n, seed):
+    """Spherical Fibonacci lattice turned by a seeded random rotation."""
+    i = np.arange(n, dtype=float)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    rho = np.sqrt(1.0 - z * z)
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    p = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    return p @ random_rotation(seed).T
+
+
+def random_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def loocv_by_inverse(p, y, epsilon, sigma, degree):
+    # the shortcut from an explicit inverse of the cui-freeden saddle matrix; r is
+    # built as the program builds it, diagonal rounding included
+    n = len(p)
+    r = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(p @ p.T, -1.0, 1.0)))
+    tail = np.hstack([np.ones((n, 1)), p][: degree + 1]) if degree >= 0 else np.zeros((n, 0))
+    m = tail.shape[1]
+    g = np.zeros((n + m, n + m))
+    g[:n, :n] = 1.0 - 2.0 * np.log1p(epsilon * r / 2.0) + sigma**2 * np.eye(n)
+    g[:n, n:], g[n:, :n] = tail, tail.T
+    g_inv = np.linalg.inv(g)
+    return (g_inv[:n, :n] @ y) / np.diagonal(g_inv)[:n]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_loocv_fast_matches_explicit_inverse(sigma, degree):
+    p = fibonacci_lattice(300, seed=5)
+    y = franke_eval(p)
+    fast = loocv_errors_fast(PointSet(p), y, CF, 2.5, sigma, degree)
+    want = loocv_by_inverse(p, y, 2.5, sigma, degree)
+    scale = max(np.max(np.abs(want)), np.max(np.abs(y)))
+    assert np.max(np.abs(fast - want)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_loocv_rank_deficient_tail_raises(sigma):
+    # x^2 + y^2 + z^2 = 1 makes the degree-2 monomials linearly dependent on
+    # the sphere, so the saddle matrix is singular up to rounding
+    pts = random_unit_points(60, seed=22)
+    y = franke_eval(pts.points)
+    with pytest.raises(ConditioningError) as info:
+        loocv_errors_fast(pts, y, CF, 1.5, sigma, 2)
+    assert info.value.condition_estimate > 1e15
+    with pytest.raises(ConfigurationError):
+        epsilon_sweep(pts, y, CF, eps_grid=[1.0, 2.0, 4.0], sigma=sigma, poly_degree=2)
+
+
+def test_loocv_input_errors_keep_their_types():
+    pts = random_unit_points(12, seed=23).points
+    dup = PointSet(np.vstack([pts, pts[:1]]))
+    y = franke_eval(dup.points)
+    with pytest.raises(DomainError):
+        loocv_errors_fast(dup, y, CF, 1.5, 0.1, 1)
+    with pytest.raises(ConfigurationError):
+        epsilon_sweep(dup, y, CF, eps_grid=[1.0, 2.0], sigma=0.1, poly_degree=1)
+    pycke = KernelSpec("pycke")
+    y = franke_eval(pts)
+    with pytest.raises(CapabilityError):
+        loocv_errors_fast(PointSet(pts), y, pycke, 1.5, 0.0, 1)
+    with pytest.raises(ConfigurationError):
+        epsilon_sweep(PointSet(pts), y, pycke, eps_grid=[1.0, 2.0], sigma=0.0)
+    with pytest.raises(DomainError):
+        loocv_errors_fast(PointSet(pts), y[:-1], CF, 1.5, 0.1, 1)
+    with pytest.raises(DomainError):
+        epsilon_sweep(PointSet(pts), y[:-1], CF, eps_grid=[1.0])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the chordal diagonal sqrt(2 - 2 x.x) is 1.5e-8, not 0, wherever x.x rounds "
+    "below 1, so K_vv depends on the rounding of each norm and the errors move by up "
+    "to 6e-8 of max|y| under rotation or permutation",
+)
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(8, 40),
+    sigma=st.sampled_from([0.0, 0.1]),
+    degree=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**31),
+)
+def test_loocv_permutation_and_rotation_invariance(n, sigma, degree, seed):
+    pts = random_unit_points(n, seed=seed).points
+    y = franke_eval(pts)
+    base = loocv_errors_fast(PointSet(pts), y, CF, 1.5, sigma, degree)
+    perm = np.random.default_rng(seed).permutation(n)
+    permuted = loocv_errors_fast(PointSet(pts[perm]), y[perm], CF, 1.5, sigma, degree)
+    rotated = pts @ random_rotation(seed).T
+    turned = loocv_errors_fast(PointSet(rotated), y, CF, 1.5, sigma, degree)
+    deviation = max(np.max(np.abs(permuted - base[perm])), np.max(np.abs(turned - base)))
+    assert deviation <= 1e-9 * np.max(np.abs(y))
+
+
 # --- sweep ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_sweep_rows_equal_the_per_call_path(sigma, degree):
+    pts = random_unit_points(200, seed=24)
+    y = franke_eval(pts.points)
+    grid = [0.75, 1.5, 3.0, 6.0]
+    report = epsilon_sweep(pts, y, CF, eps_grid=grid, sigma=sigma, poly_degree=degree)
+    for eps, mse, status in report.rows:
+        assert status == "ok"
+        assert mse == float(np.mean(loocv_errors_fast(pts, y, CF, eps, sigma, degree) ** 2))
+
 
 def test_sweep_singleton_grid():
     pts = random_unit_points(15, seed=13)

@@ -329,6 +329,28 @@ def test_knn_matches_brute_force():
         assert list(idx[i]) == expect
 
 
+def _rings(n_rings, per_ring):
+    # regular longitudes on each ring: many neighbors tie at the k-th distance
+    z, phi = np.meshgrid(np.linspace(-0.9, 0.9, n_rings),
+                         2.0 * np.pi * np.arange(per_ring) / per_ring, indexing="ij")
+    rho = np.sqrt(1.0 - z * z)
+    p = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=2)
+    return PointSet(p.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("pts", [random_unit_points(300, seed=5), _rings(12, 25)])
+@pytest.mark.parametrize("rows", [7, pointgen.KNN_ROWS])
+def test_knn_row_blocks_match_full_matrix(pts, rows, monkeypatch):
+    monkeypatch.setattr(pointgen, "KNN_ROWS", rows)
+    p = pts.points
+    d2 = np.maximum(0.0, 2.0 - 2.0 * (p[:, 0][:, None] * p[:, 0][None, :]
+                                      + p[:, 1][:, None] * p[:, 1][None, :]
+                                      + p[:, 2][:, None] * p[:, 2][None, :]))
+    np.fill_diagonal(d2, np.inf)
+    expect = np.argsort(d2, axis=1, kind="stable")[:, :6]
+    np.testing.assert_array_equal(knn_indices(pts, 6), expect)
+
+
 def test_knn_k_too_large():
     with pytest.raises(DomainError):
         knn_indices(tetrahedron(), 4)
