@@ -12,6 +12,14 @@ Three scoring routes share one deterministic pairwise-summation backend:
 All pair sums accumulate in fixed index order with compensated block merging,
 so reports are bit-identical across runs and worker counts.
 
+The closed-form double sums visit only the upper triangle of the pair matrix.
+A block of 64 rows i0:i1 builds the dots for the columns j >= i0 in one
+buffer, maps them in place to the half-chord u = sqrt((1 - t)/2) and
+evaluates the kernel once; its partial is the sum of the diagonal tile plus
+twice the sum of the tile to its right.  That is exact in structure: the
+three-term dot gives t_ij == t_ji bit for bit.  The blocks run on the
+persistent worker pool of :mod:`sphereq.summation`.
+
 The series score rests on one quantity, the Legendre power sums
 S_n = sum_ij P_n(x_i . x_j) for n = 0..n_max.  Every derivative order is a
 reweighting of them: P_n' = sum_{k < n, n - k odd} (2k+1) P_k turns the sums
@@ -41,6 +49,7 @@ from .errors import CapabilityError, DomainError, SingularKernelError
 from .kernels import (
     KernelSpec,
     SymbolSequence,
+    _kernel_eval_u,
     is_singular_at_coincidence,
     kernel_eval,
 )
@@ -137,6 +146,25 @@ def _dot_rows(block: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.clip(t, -1.0, 1.0)
 
 
+def _upper_dots(pt: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Clipped dots x_j . x_i for j >= i0 (rows) and i0 <= i < i1 (columns).
+
+    ``pt`` is the (3, N) transpose of the points.  Entry [j - i0, i - i0]
+    equals ``_dot_rows`` entry [i, j] bit for bit, but for the sign of a
+    zero, which no use of t sees: the products commute and are added in the
+    same order.  Rows 0:i1-i0 hold the diagonal tile, the rest the tile to
+    its right in the full matrix.
+    """
+    # einsum forms each outer product with one multiplication per entry, in
+    # half the time of a broadcast np.multiply
+    t = np.einsum("j,i->ji", pt[0, i0:], pt[0, i0:i1])
+    term = np.empty_like(t)
+    for c in (1, 2):
+        np.einsum("j,i->ji", pt[c, i0:], pt[c, i0:i1], out=term)
+        t += term
+    return np.clip(t, -1.0, 1.0, out=t)
+
+
 def pair_dot_matrix(pts: PointSet) -> np.ndarray:
     """Full matrix of pairwise dot products, clipped to [-1, 1].
 
@@ -151,16 +179,19 @@ def pair_dot_matrix(pts: PointSet) -> np.ndarray:
 def _check_coincidences(spec: KernelSpec, pts: PointSet) -> None:
     if not is_singular_at_coincidence(spec):
         return
-    p = pts.points
+    pt = pts.points.T.copy()
     n = len(pts)
-    for i0 in range(0, n, 256):
-        i1 = min(i0 + 256, n)
-        t = _dot_rows(p[i0:i1], p)
-        for local in range(i1 - i0):
-            t[local, i0 + local] = -2.0
-        hits = np.argwhere(t >= _COINCIDENCE_T)
-        if hits.size:
-            i, j = int(hits[0, 0]) + i0, int(hits[0, 1])
+    for i0 in range(0, n, 64):
+        i1 = min(i0 + 64, n)
+        t = _upper_dots(pt, i0, i1)
+        d = np.arange(i1 - i0)
+        t[d, d] = -2.0
+        hit = t >= _COINCIDENCE_T
+        if hit.any():
+            # the first row-major hit of the full matrix has i < j, and t is
+            # symmetric bit for bit, so the upper triangle holds that same hit
+            hits = np.argwhere(hit.T)
+            i, j = int(hits[0, 0]) + i0, int(hits[0, 1]) + i0
             raise SingularKernelError(
                 spec.name,
                 f"coincident points at indices {i} and {j}",
@@ -176,21 +207,24 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
             spec.name, "singular at coincidence; the diagonal must be excluded"
         )
     _check_coincidences(spec, pts)
-    p = pts.points
-    tspec = spec.with_convention("dot_product_t")
+    pt = pts.points.T.copy()
     exclude = diagonal_policy == EXCLUDE
 
     def row_block(i0: int, i1: int) -> float:
-        t = _dot_rows(p[i0:i1], p)
+        b = i1 - i0
+        d = np.arange(b)
+        u = _upper_dots(pt, i0, i1)
         # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
         # the half-chord sqrt amplifying last-bit norm rounding
-        for local in range(i1 - i0):
-            t[local, i0 + local] = 0.0 if exclude else 1.0
-        k = np.atleast_2d(kernel_eval(tspec, t))
+        u[d, d] = 0.0 if exclude else 1.0
+        np.subtract(1.0, u, out=u)
+        u /= 2.0
+        np.sqrt(u, out=u)
+        # the clip keeps u in [0, 1], so only the singularity checks remain
+        k = _kernel_eval_u(spec, u)
         if exclude:
-            for local in range(i1 - i0):
-                k[local, i0 + local] = 0.0
-        return block_sum(k)
+            k[d, d] = 0.0
+        return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
 
     return blocked_pair_reduce(len(pts), row_block)
 

@@ -235,6 +235,20 @@ def _u_from_r(r: np.ndarray) -> np.ndarray:
     return r / 2.0
 
 
+def _kernel_eval_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+    """Closed form on a half-chord array u = r/2 >= 0, singularities checked.
+
+    The entry point of :func:`kernel_eval` after argument validation, for
+    callers that build ``u`` themselves and so already know it is in range.
+    Raises :class:`SingularKernelError` like :func:`kernel_eval`.
+    """
+    if is_singular_at_coincidence(spec) and np.any(u == 0.0):
+        raise SingularKernelError(spec.name, "kernel is singular at coincidence")
+    if spec.family in ("gine", "ajne") and spec.m >= 1 and np.any(u >= 1.0):
+        raise SingularKernelError(spec.name, "derivative is singular at t = -1")
+    return _eval_u(spec, u)
+
+
 def kernel_eval(spec: KernelSpec, x):
     """Evaluate the kernel closed form.
 
@@ -245,11 +259,7 @@ def kernel_eval(spec: KernelSpec, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     u = _u_from_t(arr) if spec.convention == DOT_PRODUCT else _u_from_r(arr)
-    if is_singular_at_coincidence(spec) and np.any(u == 0.0):
-        raise SingularKernelError(spec.name, "kernel is singular at coincidence")
-    if spec.family in ("gine", "ajne") and spec.m >= 1 and np.any(u >= 1.0):
-        raise SingularKernelError(spec.name, "derivative is singular at t = -1")
-    out = _eval_u(spec, np.atleast_1d(u))
+    out = _kernel_eval_u(spec, np.atleast_1d(u))
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

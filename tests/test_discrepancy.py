@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sphereq import discrepancy
 from sphereq.errors import CapabilityError, DomainError, SingularKernelError
-from sphereq.kernels import KernelSpec, SymbolSequence, kernel_eval
+from sphereq.kernels import KernelSpec, SymbolSequence, kernel_eval, parse_kernel
 from sphereq.legendre import derivative_recurrence
 from sphereq.summation import block_sum, neumaier_sum
 from sphereq.discrepancy import (
@@ -117,6 +117,40 @@ def test_coincident_points_detected():
     with pytest.raises(SingularKernelError) as err:
         rms_discrepancy(pts, PYCKE, EXCLUDE)
     assert err.value.indices == (0, 1)
+
+
+def test_coincidence_report_matches_full_matrix_oracle():
+    # the scan covers only j > i; the reported pair must still be the
+    # row-major first hit of the full matrix
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(5, 301))
+        p = random_points(n, int(rng.integers(2**32))).points.copy()
+        for _ in range(int(rng.integers(1, 5))):
+            src, dst = rng.choice(n, size=2, replace=False)
+            p[dst] = p[src]
+        t = p[:, 0, None] * p[:, 0] + p[:, 1, None] * p[:, 1] + p[:, 2, None] * p[:, 2]
+        np.fill_diagonal(t, -2.0)
+        first = tuple(int(v) for v in np.argwhere(t >= 1.0 - 1e-14)[0])
+        with pytest.raises(SingularKernelError) as err:
+            energy(PointSet(p), PYCKE)
+        assert err.value.indices == first
+
+
+@pytest.mark.parametrize("name", ["gine:d1", "ajne:d1", "gine:d2"])
+def test_antipodal_pair_keeps_the_typed_derivative_error(name):
+    spec = parse_kernel(name)
+    # a lone antipodal pair, and one planted across row blocks of a larger set
+    big = random_points(150, 12).points.copy()
+    big[3], big[130] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    for pts in (antipodal(), PointSet(big)):
+        for score in (
+            lambda: mean_pair_discrepancy(pts, spec, EXCLUDE),
+            lambda: rms_discrepancy(pts, spec, EXCLUDE),
+            lambda: energy(pts, spec),
+        ):
+            with pytest.raises(SingularKernelError, match="derivative is singular at t = -1"):
+                score()
 
 
 # --- mean pair and energy ----------------------------------------------------
@@ -440,6 +474,85 @@ def test_permutation_invariance():
     s1 = series_generalized_discrepancy(pts, "cui-freeden", 0, 300).value
     s2 = series_generalized_discrepancy(perm, "cui-freeden", 0, 300).value
     assert s1 == pytest.approx(s2, abs=1e-12)
+
+
+def full_matrix_pair_sum(pts, spec, include):
+    # plain numpy oracle: the whole N x N matrix, summed exactly by math.fsum
+    p = pts.points
+    t = np.clip(p[:, 0, None] * p[:, 0] + p[:, 1, None] * p[:, 1] + p[:, 2, None] * p[:, 2], -1, 1)
+    np.fill_diagonal(t, 1.0 if include else 0.0)
+    k = kernel_eval(spec, t)
+    if not include:
+        np.fill_diagonal(k, 0.0)
+    return math.fsum(k.ravel())
+
+
+PAIR_SUM_CASES = [
+    (KernelSpec("cui-freeden"), INCLUDE),
+    (KernelSpec("cui-freeden", m=1), INCLUDE),
+    (KernelSpec("cui-freeden", m=2), INCLUDE),
+    (KernelSpec("gine"), INCLUDE),
+    (RIESZ1, EXCLUDE),
+    (PYCKE, EXCLUDE),
+]
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 63, 64, 65, 129, 998])
+def test_pair_kernel_sum_matches_full_matrix_fsum(n_points):
+    # sizes straddle the 64-row blocks of the upper-triangle sum
+    pts = random_points(n_points, 40 + n_points)
+    for spec, policy in PAIR_SUM_CASES:
+        expect = full_matrix_pair_sum(pts, spec, policy == INCLUDE)
+        got = discrepancy._pair_kernel_sum(pts, spec, policy)
+        assert abs(got - expect) <= 1e-14 * abs(expect), (spec.name, policy)
+
+
+def test_pair_kernel_sum_is_byte_identical_across_thread_counts(monkeypatch):
+    pts = random_points(998, 3)
+    sums = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
+        sums[threads] = [
+            discrepancy._pair_kernel_sum(pts, spec, policy).hex()
+            for spec, policy in PAIR_SUM_CASES
+        ]
+    assert sums["1"] == sums["2"] == sums["4"]
+
+
+def test_upper_dots_equal_the_full_gram_rows():
+    p = random_points(200, 8).points
+    full = discrepancy._dot_rows(p, p)
+    pt = p.T.copy()
+    for i0, i1 in ((0, 64), (64, 128), (192, 200)):
+        upper = discrepancy._upper_dots(pt, i0, i1)
+        # equal as floats; only the sign of a zero may differ
+        assert np.array_equal(upper, full[i0:i1, i0:].T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(2, 150),
+    m=st.integers(0, 2),
+)
+def test_closed_form_rotation_and_permutation_invariance(seed, n_points, m):
+    # bounded kernels only: a rotation moves t by an ulp, and 1 - t turns
+    # that into a relative error of order 1e-16 / u^2 in a close pair's
+    # half-chord, which a singular kernel passes on in full.  The m >= 1
+    # energies are means of positive values, so nothing cancels.
+    pts = random_points(n_points, seed)
+    order = np.random.default_rng(seed).permutation(n_points)
+    moved = (
+        PointSet(pts.points @ random_rotation(seed).T),
+        PointSet(pts.points[order]),
+    )
+    cf = KernelSpec("cui-freeden", m=m)
+    positive = KernelSpec("cui-freeden", m=max(m, 1))
+    base_rms = rms_discrepancy(pts, cf).value
+    base_energy = energy(pts, positive)
+    for other in moved:
+        assert rms_discrepancy(other, cf).value == pytest.approx(base_rms, rel=1e-13, abs=0)
+        assert energy(other, positive) == pytest.approx(base_energy, rel=1e-13, abs=0)
 
 
 # --- report serialization -------------------------------------------------------
