@@ -14,9 +14,10 @@ so reports are bit-identical across runs and worker counts.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
 A block of 64 rows i0:i1 builds the dots for the columns j >= i0 in one
-buffer, maps them in place to the half-chord u = sqrt((1 - t)/2) and
-evaluates the kernel once; its partial is the sum of the diagonal tile plus
-twice the sum of the tile to its right.  That is exact in structure: the
+buffer, scans them for coincident pairs when the kernel is singular there,
+maps them in place to the half-chord u = sqrt((1 - t)/2) and evaluates the
+kernel once; its partial is the sum of the diagonal tile plus twice the sum
+of the tile to its right.  That is exact in structure: the
 three-term dot gives t_ij == t_ji bit for bit.  The blocks run on the
 persistent worker pool of :mod:`sphereq.summation`.
 
@@ -136,31 +137,19 @@ class DiscrepancyReport:
 
 
 def _dot_rows(block: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    # elementwise three-term dot: avoids BLAS so results do not depend on
-    # the library's thread count
-    t = (
-        block[:, 0][:, None] * pts[:, 0][None, :]
-        + block[:, 1][:, None] * pts[:, 1][None, :]
-        + block[:, 2][:, None] * pts[:, 2][None, :]
-    )
-    return np.clip(t, -1.0, 1.0)
+    """Clipped dots t[r, c] = block[r] . pts[c], built in one buffer.
 
-
-def _upper_dots(pt: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Clipped dots x_j . x_i for j >= i0 (rows) and i0 <= i < i1 (columns).
-
-    ``pt`` is the (3, N) transpose of the points.  Entry [j - i0, i - i0]
-    equals ``_dot_rows`` entry [i, j] bit for bit, but for the sign of a
-    zero, which no use of t sees: the products commute and are added in the
-    same order.  Rows 0:i1-i0 hold the diagonal tile, the rest the tile to
-    its right in the full matrix.
+    An elementwise three-term dot, not BLAS, so results do not depend on the
+    library's thread count.  The products commute and are added in the same
+    order, so the rows i, j of one set give t_ij == t_ji bit for bit.
     """
+    a, b = np.ascontiguousarray(block.T), np.ascontiguousarray(pts.T)
     # einsum forms each outer product with one multiplication per entry, in
-    # half the time of a broadcast np.multiply
-    t = np.einsum("j,i->ji", pt[0, i0:], pt[0, i0:i1])
+    # half the time of a broadcast multiply; only the sign of a zero differs
+    t = np.einsum("i,j->ij", a[0], b[0])
     term = np.empty_like(t)
     for c in (1, 2):
-        np.einsum("j,i->ji", pt[c, i0:], pt[c, i0:i1], out=term)
+        np.einsum("i,j->ij", a[c], b[c], out=term)
         t += term
     return np.clip(t, -1.0, 1.0, out=t)
 
@@ -176,47 +165,38 @@ def pair_dot_matrix(pts: PointSet) -> np.ndarray:
     return t
 
 
-def _check_coincidences(spec: KernelSpec, pts: PointSet) -> None:
-    if not is_singular_at_coincidence(spec):
-        return
-    pt = pts.points.T.copy()
-    n = len(pts)
-    for i0 in range(0, n, 64):
-        i1 = min(i0 + 64, n)
-        t = _upper_dots(pt, i0, i1)
-        d = np.arange(i1 - i0)
-        t[d, d] = -2.0
-        hit = t >= _COINCIDENCE_T
-        if hit.any():
-            # the first row-major hit of the full matrix has i < j, and t is
-            # symmetric bit for bit, so the upper triangle holds that same hit
-            hits = np.argwhere(hit.T)
-            i, j = int(hits[0, 0]) + i0, int(hits[0, 1]) + i0
-            raise SingularKernelError(
-                spec.name,
-                f"coincident points at indices {i} and {j}",
-                indices=(i, j),
-            )
-
-
 def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> float:
     if diagonal_policy not in (INCLUDE, EXCLUDE):
         raise DomainError(f"unknown diagonal policy {diagonal_policy!r}")
-    if is_singular_at_coincidence(spec) and diagonal_policy == INCLUDE:
+    singular = is_singular_at_coincidence(spec)
+    if singular and diagonal_policy == INCLUDE:
         raise SingularKernelError(
             spec.name, "singular at coincidence; the diagonal must be excluded"
         )
-    _check_coincidences(spec, pts)
-    pt = pts.points.T.copy()
+    p = pts.points
     exclude = diagonal_policy == EXCLUDE
 
     def row_block(i0: int, i1: int) -> float:
         b = i1 - i0
         d = np.arange(b)
-        u = _upper_dots(pt, i0, i1)
+        # rows j >= i0, columns i0 <= i < i1: the diagonal tile, then the
+        # tile to its right in the full matrix
+        u = _dot_rows(p[i0:], p[i0:i1])
         # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
         # the half-chord sqrt amplifying last-bit norm rounding
         u[d, d] = 0.0 if exclude else 1.0
+        if singular:
+            hit = u >= _COINCIDENCE_T
+            if hit.any():
+                # the first row-major hit of the full matrix has i < j and t
+                # is symmetric, so the upper triangle holds that same hit;
+                # the reduction raises the error of the earliest block
+                i, j = (int(x) + i0 for x in np.argwhere(hit.T)[0])
+                raise SingularKernelError(
+                    spec.name,
+                    f"coincident points at indices {i} and {j}",
+                    indices=(i, j),
+                )
         np.subtract(1.0, u, out=u)
         u /= 2.0
         np.sqrt(u, out=u)
