@@ -13,13 +13,14 @@ All pair sums accumulate in fixed index order with compensated block merging,
 so reports are bit-identical across runs and worker counts.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
-A block of 64 rows i0:i1 builds the dots for the columns j >= i0 in one
-buffer, scans them for coincident pairs when the kernel is singular there,
-maps them in place to the half-chord u = sqrt((1 - t)/2) and evaluates the
-kernel once; its partial is the sum of the diagonal tile plus twice the sum
-of the tile to its right.  That is exact in structure: the
-three-term dot gives t_ij == t_ji bit for bit.  The blocks run on the
-persistent worker pool of :mod:`sphereq.summation`.
+A block of 64 rows i0:i1 builds the dots for the columns j >= i0 in the
+block buffers of its thread, scans them for coincident pairs when the
+kernel is singular there, maps them in place to the half-chord
+u = sqrt((1 - t)/2) and evaluates the kernel over u in place; its partial
+is the sum of the diagonal tile plus twice the sum of the tile to its
+right.  That is exact in structure: the three-term dot gives t_ij == t_ji
+bit for bit.  The blocks run on the worker lanes of
+:mod:`sphereq.summation`, so a block allocates no block-sized float array.
 
 The series score rests on one quantity, the Legendre power sums
 S_n = sum_ij P_n(x_i . x_j) for n = 0..n_max.  Every derivative order is a
@@ -55,7 +56,7 @@ from .kernels import (
     kernel_eval,
 )
 from .legendre import derivative_recurrence
-from .summation import block_sum, blocked_pair_reduce, neumaier_sum
+from .summation import block_buffers, block_sum, blocked_pair_reduce, neumaier_sum
 
 INCLUDE = "include"
 EXCLUDE = "exclude"
@@ -136,18 +137,27 @@ class DiscrepancyReport:
         }
 
 
-def _dot_rows(block: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _dot_rows(
+    block: np.ndarray,
+    pts: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Clipped dots t[r, c] = block[r] . pts[c], built in one buffer.
 
     An elementwise three-term dot, not BLAS, so results do not depend on the
     library's thread count.  The products commute and are added in the same
-    order, so the rows i, j of one set give t_ij == t_ji bit for bit.
+    order, so the rows i, j of one set give t_ij == t_ji bit for bit.  The
+    dots go into ``out`` and each outer product through ``work``, two
+    (len(block), len(pts)) buffers made here when None.
     """
     a, b = np.ascontiguousarray(block.T), np.ascontiguousarray(pts.T)
+    shape = (a.shape[1], b.shape[1])
+    t = np.empty(shape) if out is None else out
+    term = np.empty(shape) if work is None else work
     # einsum forms each outer product with one multiplication per entry, in
     # half the time of a broadcast multiply; only the sign of a zero differs
-    t = np.einsum("i,j->ij", a[0], b[0])
-    term = np.empty_like(t)
+    np.einsum("i,j->ij", a[0], b[0], out=t)
     for c in (1, 2):
         np.einsum("i,j->ij", a[c], b[c], out=term)
         t += term
@@ -181,7 +191,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
         d = np.arange(b)
         # rows j >= i0, columns i0 <= i < i1: the diagonal tile, then the
         # tile to its right in the full matrix
-        u = _dot_rows(p[i0:], p[i0:i1])
+        u = _dot_rows(p[i0:], p[i0:i1], *block_buffers(len(p) - i0, b))
         # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
         # the half-chord sqrt amplifying last-bit norm rounding
         u[d, d] = 0.0 if exclude else 1.0
@@ -201,7 +211,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
         u /= 2.0
         np.sqrt(u, out=u)
         # the clip keeps u in [0, 1], so only the singularity checks remain
-        k = _kernel_eval_u(spec, u)
+        k = _kernel_eval_u(spec, u, out=u)
         if exclude:
             k[d, d] = 0.0
         return block_sum(k[:b]) + 2.0 * block_sum(k[b:])

@@ -134,62 +134,107 @@ def _riesz_shift(s: float) -> float:
     return math.copysign(1.0, s) * 2.0**-s / (1.0 - s / 2.0)
 
 
-def _eval_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Evaluate the closed form on the half-chord variable u = r/2 >= 0."""
+def _eval_u(
+    spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate the closed form on the half-chord variable u = r/2 >= 0.
+
+    The result goes into ``out``, a new array when it is None; ``out`` may be
+    ``u`` itself.  Each formula is a chain of ufuncs writing into ``out`` in
+    the order its expression evaluates, so every caller gets the same bits.
+    """
     family, m, s = spec.family, spec.m, spec.s
     if m > M_CLOSED_MAX:
         raise CapabilityError(
             f"closed-form evaluation supports m <= {M_CLOSED_MAX} (got m={m})"
         )
+    v = np.empty_like(u) if out is None else out
     with np.errstate(divide="ignore", over="ignore"):
-        if family == "pycke":
-            if m == 0:
-                return -(1.0 + 2.0 * np.log(u)) / _FOUR_PI
+        if family == "pycke" and m == 0:
+            # -(1 + 2 ln u) / 4pi
+            np.log(u, out=v)
+            v *= 2.0
+            v += 1.0
+            np.negative(v, out=v)
+            v /= _FOUR_PI
+        elif family == "riesz" and s == 0.0 and m == 0:
+            # -2 ln 2u
+            np.multiply(2.0, u, out=v)
+            np.log(v, out=v)
+            v *= -2.0
+        elif family == "pycke" or s == 0.0:  # pycke and riesz s = 0, m >= 1
             if m == 1:
-                return 1.0 / (2.0 * u * u)  # 1/(1-t), constants dropped
-            return 1.0 / (4.0 * u**4)  # 1/(1-t)^2
-        if family == "cui-freeden":
-            if m == 0:
-                return 1.0 - 2.0 * np.log1p(u)
-            if m == 1:
-                return 1.0 / (1.0 + u)  # |dK/dr|
-            return 0.25 / (1.0 + u) ** 2  # |d^2K/dr^2| / 2!
-        if family == "gine":
-            uc = np.minimum(u, 1.0)
-            root = np.sqrt(np.maximum(1.0 - uc * uc, 0.0))
-            if m == 0:
-                return 0.5 - (4.0 / math.pi) * uc * root
-            if m == 1:
-                return (2.0 / math.pi) * (1.0 - 2.0 * uc * uc) / (2.0 * uc * root)
-            return (2.0 / math.pi) / (8.0 * uc**3 * root**3)
-        if family == "ajne":
-            uc = np.minimum(u, 1.0)
-            if m == 0:
-                return 0.25 - np.arcsin(uc) / math.pi
-            root = np.sqrt(np.maximum(1.0 - uc * uc, 0.0))
-            if m == 1:
-                return 1.0 / (_FOUR_PI * uc * root)
-            return (1.0 - 2.0 * uc * uc) / (4.0 * math.pi * (2.0 * uc * root) ** 3)
-        # riesz
-        if s == 0.0:
-            if m == 0:
-                val = -2.0 * np.log(2.0 * u)
-            elif m == 1:
-                val = 1.0 / (2.0 * u * u)
+                np.multiply(2.0 * u, u, out=v)  # 1/(1-t), constants dropped
             else:
-                val = 1.0 / (4.0 * u**4)
+                np.power(u, 4, out=v)  # 1/(1-t)^2
+                v *= 4.0
+            np.divide(1.0, v, out=v)
+        elif family == "riesz":
+            # sign(s) 2^m poch(s/2, m) (2u)^(-(s+2m)); at m = 0, sign(s) (2u)^-s
+            # and, for m >= 1, the exact t-derivative
+            poch = 1.0
+            for j in range(m):
+                poch *= s / 2.0 + j
+            np.multiply(2.0, u, out=v)
+            v **= -(s + 2 * m)
+            v *= math.copysign(1.0, s) * 2.0**m * poch
+        elif family == "cui-freeden":
+            if m == 0:
+                np.log1p(u, out=v)  # 1 - 2 ln(1 + u)
+                v *= 2.0
+                np.subtract(1.0, v, out=v)
+            else:
+                np.add(1.0, u, out=v)
+                if m == 1:
+                    np.divide(1.0, v, out=v)  # |dK/dr|
+                else:
+                    v **= 2
+                    np.divide(0.25, v, out=v)  # |d^2K/dr^2| / 2!
         else:
-            if m == 0:
-                val = math.copysign(1.0, s) * (2.0 * u) ** (-s)
-            else:
-                # exact t-derivative: sign(s) 2^m poch(s/2, m) (2u)^(-(s+2m))
-                poch = 1.0
-                for j in range(m):
-                    poch *= s / 2.0 + j
-                val = math.copysign(1.0, s) * 2.0**m * poch * (2.0 * u) ** (-(s + 2 * m))
+            _eval_arc(family, m, np.minimum(u, 1.0, out=v))
         if spec.shifted and m == 0:
-            val = val - _riesz_shift(s)
-        return val
+            v -= _riesz_shift(s)
+    return v
+
+
+def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
+    """gine and ajne on uc = min(u, 1), overwritten with the kernel value."""
+    if family == "ajne" and m == 0:
+        np.arcsin(uc, out=uc)  # 1/4 - arcsin(uc) / pi
+        uc /= math.pi
+        np.subtract(0.25, uc, out=uc)
+        return
+    root = uc * uc  # sqrt(max(1 - uc^2, 0))
+    np.subtract(1.0, root, out=root)
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    if family == "gine" and m == 0:
+        uc *= 4.0 / math.pi  # 1/2 - (4/pi) uc root
+        uc *= root
+        np.subtract(0.5, uc, out=uc)
+    elif family == "gine" and m == 2:
+        uc **= 3  # (2/pi) / (8 uc^3 root^3)
+        uc *= 8.0
+        root **= 3
+        uc *= root
+        np.divide(2.0 / math.pi, uc, out=uc)
+    elif family == "ajne" and m == 1:
+        uc *= _FOUR_PI  # 1 / (4pi uc root)
+        uc *= root
+        np.divide(1.0, uc, out=uc)
+    else:
+        # gine m = 1: (2/pi) (1 - 2 uc^2) / (2 uc root);
+        # ajne m = 2: (1 - 2 uc^2) / (4pi (2 uc root)^3)
+        den = 2.0 * uc
+        np.multiply(den, uc, out=uc)
+        np.subtract(1.0, uc, out=uc)
+        den *= root
+        if family == "gine":
+            uc *= 2.0 / math.pi
+        else:
+            den **= 3
+            den *= 4.0 * math.pi
+        uc /= den
 
 
 def _t_derivative_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
@@ -235,18 +280,21 @@ def _u_from_r(r: np.ndarray) -> np.ndarray:
     return r / 2.0
 
 
-def _kernel_eval_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+def _kernel_eval_u(
+    spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Closed form on a half-chord array u = r/2 >= 0, singularities checked.
 
     The entry point of :func:`kernel_eval` after argument validation, for
     callers that build ``u`` themselves and so already know it is in range.
-    Raises :class:`SingularKernelError` like :func:`kernel_eval`.
+    Raises :class:`SingularKernelError` like :func:`kernel_eval`.  The result
+    goes into ``out`` as in :func:`_eval_u`; ``out=u`` evaluates in place.
     """
     if is_singular_at_coincidence(spec) and np.any(u == 0.0):
         raise SingularKernelError(spec.name, "kernel is singular at coincidence")
     if spec.family in ("gine", "ajne") and spec.m >= 1 and np.any(u >= 1.0):
         raise SingularKernelError(spec.name, "derivative is singular at t = -1")
-    return _eval_u(spec, u)
+    return _eval_u(spec, u, out)
 
 
 def kernel_eval(spec: KernelSpec, x):

@@ -8,7 +8,8 @@ Three generators:
   tangent-plane descent whose backtracking line search scores every trial
   step length in one batched kernel evaluation),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
-  re-projected to the sphere each iteration.
+  re-projected to the sphere each iteration; the k-NN row blocks run on
+  the worker pool of :mod:`sphereq.summation`.
 
 Everything is deterministic for a fixed seed; per-iteration updates read only
 the previous iterate, so partitioned execution cannot reorder results.
@@ -29,6 +30,7 @@ from .kernels import (
     kernel_eval,
     kernel_t_derivative,
 )
+from .summation import block_buffers, blocked_map
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -253,41 +255,41 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
 
     Brute-force O(N^2) scan with a partial sort per row; ties break toward
     the lower index, also at the k-th distance; a point is never its own
-    neighbor.  Rows go in blocks of KNN_ROWS, so no N x N array is made.
+    neighbor.  Rows go in blocks of KNN_ROWS, so no N x N array is made,
+    and the blocks run on the worker pool of :mod:`sphereq.summation`.
     """
     n = len(pts)
     if k >= n:
         raise DomainError("k must be smaller than the number of points")
-    out = np.empty((n, k), dtype=np.intp)
-    for i0 in range(0, n, KNN_ROWS):
-        i1 = min(i0 + KNN_ROWS, n)
-        out[i0:i1] = _knn_rows(pts.points, i0, i1, k)
-    return out
+    p = pts.points
+    return np.concatenate(
+        blocked_map(n, lambda i0, i1: _knn_rows(p, i0, i1, k), KNN_ROWS)
+    )
 
 
 def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int) -> np.ndarray:
+    rows = i1 - i0
     q = p[i0:i1]
-    d2 = np.maximum(
-        0.0,
-        2.0
-        - 2.0
-        * (
-            q[:, 0][:, None] * p[:, 0][None, :]
-            + q[:, 1][:, None] * p[:, 1][None, :]
-            + q[:, 2][:, None] * p[:, 2][None, :]
-        ),
-    )
-    rows = np.arange(i1 - i0)
-    d2[rows, rows + i0] = np.inf
-    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dist = np.take_along_axis(d2, near, axis=1)
-    out = np.take_along_axis(near, np.lexsort((near, dist)), axis=1)
-    # argpartition picks arbitrarily among values tied at the k-th distance;
-    # such rows take the first k of a stable sort instead
-    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) > k
-    if tied.any():
-        out[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return out
+    d2, work = block_buffers(rows, p.shape[0])
+    # squared chord 2 - 2 q . p
+    np.multiply(q[:, 0][:, None], p[:, 0], out=d2)
+    for c in (1, 2):
+        np.multiply(q[:, c][:, None], p[:, c], out=work)
+        d2 += work
+    d2 *= 2.0
+    np.subtract(2.0, d2, out=d2)
+    np.maximum(0.0, d2, out=d2)
+    r = np.arange(rows)
+    d2[r, r + i0] = np.inf
+    # every column within its row's k-th smallest distance is a candidate;
+    # nonzero lists them by (row, index) and lexsort is stable, so sorted by
+    # (row, distance) a row's first k candidates are its neighbors, with
+    # ties at the k-th distance going to the lower index
+    np.copyto(work, d2)
+    work.partition(k - 1, axis=1)
+    row, col = np.nonzero(d2 <= work[:, k - 1 : k])
+    col = col[np.lexsort((d2[row, col], row))]
+    return col[np.searchsorted(row, r)[:, None] + np.arange(k)]
 
 
 def riesz_refine(

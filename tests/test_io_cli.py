@@ -165,6 +165,23 @@ def test_cli_refine_writes_history(tmp_path):
     assert len(lines) == 21
 
 
+@pytest.mark.parametrize("n, iters", [(206, 200), (998, 30)])
+def test_cli_refine_is_byte_identical_across_thread_counts(
+    n, iters, tmp_path, monkeypatch
+):
+    # k-NN refreshes and history pair sums split their row blocks over the
+    # worker lanes; N=998 spans 16 blocks of 64 rows
+    outputs = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
+        out = tmp_path / f"refined_{threads}.csv"
+        assert main(["refine", "--n", str(n), "--seed", "1", "--iters", str(iters),
+                     "--out", str(out)]) == 0
+        hist = tmp_path / f"refined_{threads}_history.csv"
+        outputs[threads] = (out.read_bytes(), hist.read_bytes())
+    assert outputs["1"] == outputs["2"] == outputs["4"]
+
+
 def test_cli_convert_round_trip(tmp_path):
     cart = tmp_path / "pts.csv"
     write_pointset(cart, tetrahedron())

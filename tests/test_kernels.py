@@ -8,6 +8,7 @@ from sphereq.kernels import (
     CHORDAL,
     KernelSpec,
     SymbolSequence,
+    _kernel_eval_u,
     is_singular_at_coincidence,
     kernel_derivative,
     kernel_eval,
@@ -301,3 +302,62 @@ def test_is_singular_catalog():
     assert not is_singular_at_coincidence(KernelSpec("cui-freeden", m=2))
     assert is_singular_at_coincidence(KernelSpec("gine", m=1))
     assert not is_singular_at_coincidence(KernelSpec("gine"))
+
+
+# --- evaluation into a caller's buffer ---------------------------------------
+
+OUT_PATH_SPECS = [
+    KernelSpec(family, m=m, s=s)
+    for family, exponents in (
+        ("pycke", [None]), ("cui-freeden", [None]), ("gine", [None]), ("ajne", [None]),
+        ("riesz", [0.0, 1.0, -0.5, 2.5]),
+    )
+    for s in exponents
+    for m in range(3)
+] + [KernelSpec("riesz", s=s, shifted=True) for s in (0.0, 1.0, -0.5)]
+
+
+def dense_t_grid():
+    near = np.logspace(-16, -1, 400)
+    return np.concatenate([np.linspace(-1.0, 1.0, 40001), 1.0 - near, -1.0 + near])
+
+
+@pytest.mark.parametrize(
+    "spec", OUT_PATH_SPECS, ids=lambda s: s.name + (":shifted" if s.shifted else "")
+)
+def test_out_path_is_bit_identical_to_kernel_eval(spec):
+    t = dense_t_grid()
+    u = np.sqrt((1.0 - t) / 2.0)
+    keep = np.ones(t.shape, bool)
+    if is_singular_at_coincidence(spec):
+        keep &= u > 0.0
+    if spec.family in ("gine", "ajne") and spec.m >= 1:
+        keep &= u < 1.0
+    t, u = t[keep], u[keep]
+    expect = kernel_eval(spec, t).tobytes()
+    buf = np.full_like(u, np.nan)
+    assert _kernel_eval_u(spec, u, out=buf) is buf
+    assert buf.tobytes() == expect
+    src = u.copy()
+    assert _kernel_eval_u(spec, src, out=src) is src  # in place, as pair sums do
+    assert src.tobytes() == expect
+    block = u[: u.size // 64 * 64].reshape(-1, 64).copy()
+    _kernel_eval_u(spec, block, out=block)
+    assert block.tobytes() == kernel_eval(spec, t[: block.size]).tobytes()
+
+
+def test_out_path_keeps_error_types():
+    for spec in (PYCKE, KernelSpec("pycke", m=2), KernelSpec("riesz", s=1.0),
+                 KernelSpec("riesz", s=0.0, m=1), KernelSpec("gine", m=1)):
+        u = np.array([0.3, 0.0, 0.5])
+        with pytest.raises(SingularKernelError):
+            _kernel_eval_u(spec, u, out=u)
+    for spec in (KernelSpec("gine", m=1), KernelSpec("gine", m=2),
+                 KernelSpec("ajne", m=1), KernelSpec("ajne", m=2)):
+        u = np.array([0.3, 1.0])  # t = -1
+        with pytest.raises(SingularKernelError, match="t = -1"):
+            _kernel_eval_u(spec, u, out=np.empty_like(u))
+    for spec in (CF, KernelSpec("riesz", s=-0.5), KernelSpec("gine")):
+        u = np.array([0.1, 0.7])
+        with pytest.raises(CapabilityError):
+            _kernel_eval_u(KernelSpec(spec.family, m=3, s=spec.s), u, out=u)

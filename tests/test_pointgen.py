@@ -351,6 +351,18 @@ def test_knn_row_blocks_match_full_matrix(pts, rows, monkeypatch):
     np.testing.assert_array_equal(knn_indices(pts, 6), expect)
 
 
+@pytest.mark.parametrize("n", [206, 998])
+def test_knn_is_identical_across_thread_counts(n, monkeypatch):
+    pts = random_unit_points(n, seed=n)
+    got = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
+        got[threads] = knn_indices(pts, 12)
+    assert got["1"].shape == (n, 12) and got["1"].dtype == np.intp
+    np.testing.assert_array_equal(got["1"], got["2"])
+    np.testing.assert_array_equal(got["1"], got["4"])
+
+
 def test_knn_k_too_large():
     with pytest.raises(DomainError):
         knn_indices(tetrahedron(), 4)
