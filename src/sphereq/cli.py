@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -65,8 +66,7 @@ def _cmd_generate(args) -> int:
 
 
 def _history_path(out: str) -> str:
-    stem, dot, _ = out.rpartition(".")
-    return (stem if dot else out) + "_history.csv"
+    return os.path.splitext(out)[0] + "_history.csv"
 
 
 def _cmd_refine(args) -> int:
@@ -202,7 +202,11 @@ def _cmd_convert(args) -> int:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise PointSetFormatError("expected theta,phi", line=lineno)
-                rows.append(spherical_to_cartesian(float(parts[0]), float(parts[1])))
+                try:
+                    theta, phi = float(parts[0]), float(parts[1])
+                except ValueError:
+                    raise PointSetFormatError("field is not a number", line=lineno)
+                rows.append(spherical_to_cartesian(theta, phi))
         write_pointset(args.out, PointSet(np.array(rows)))
         return 0
     raise PointSetFormatError('header must be "x,y,z" or "theta,phi"', line=1)

@@ -29,7 +29,13 @@ from scipy.linalg import lapack
 
 from .errors import CapabilityError, ConditioningError, ConfigurationError, DomainError
 from .discrepancy import PointSet
-from .kernels import CHORDAL, KernelSpec, is_singular_at_coincidence, kernel_eval
+from .kernels import (
+    CHORDAL,
+    KernelSpec,
+    _kernel_eval_u,
+    is_singular_at_coincidence,
+    kernel_eval,
+)
 
 
 def franke_eval(p):
@@ -111,21 +117,28 @@ def _geometry(centers, poly_degree):
 
 def _saddle(r, p, spec, epsilon, sigma):
     """G = [[K(eps r) + sigma^2 I, P], [P^T, 0]]; a kernel singular at r = 0
-    takes its zero diagonal limit, which needs sigma > 0 to stay invertible."""
+    takes its zero diagonal limit, which needs sigma > 0 to stay invertible.
+
+    The kernel block is evaluated in place on the half-chords r (eps/2),
+    which equal (eps r)/2 bit for bit, so G is the chordal ``kernel_eval``
+    of eps r."""
     n, m = p.shape
     singular = is_singular_at_coincidence(spec)
     if singular and sigma <= 0.0:
         raise CapabilityError(f"{spec.name} is singular at r=0: fitting requires sigma > 0")
-    scaled, diag = epsilon * r, np.arange(n)
+    if epsilon < 0.0 and n > 1:  # r > 0 off the diagonal, so eps r has a negative
+        raise DomainError("chordal distance must be non-negative")
+    g, diag = np.empty((n + m, n + m)), np.arange(n)
+    block = np.multiply(r, epsilon / 2.0, out=g[:n, :n])
     if singular:
-        scaled[diag, diag] = 1.0  # placeholder argument, overwritten below
-    g = np.zeros((n + m, n + m))
-    g[:n, :n] = kernel_eval(spec.with_convention(CHORDAL), scaled)
+        block[diag, diag] = 0.5  # placeholder argument, overwritten below
+    _kernel_eval_u(spec, block, out=block)
     if singular:
-        g[diag, diag] = 0.0
-    g[diag, diag] += sigma**2
+        block[diag, diag] = 0.0
+    block[diag, diag] += sigma**2
     g[:n, n:] = p
     g[n:, :n] = p.T
+    g[n:, n:] = 0.0
     return g
 
 

@@ -6,13 +6,18 @@ Three generators:
 * greedy sequential minimization of the summed kernel against the points
   placed so far (argmin over a spherical Fibonacci grid, then polished by
   tangent-plane descent whose backtracking line search scores every trial
-  step length in one batched kernel evaluation),
+  step length in one pass: the trial dots, the half-chords u and the kernel
+  values each fill one reused buffer, and the accepted trial's u row gives
+  the next gradient, so each iteration forms its dots once),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration; the k-NN row blocks run on
   the worker pool of :mod:`sphereq.summation`.
 
 Everything is deterministic for a fixed seed; per-iteration updates read only
-the previous iterate, so partitioned execution cannot reorder results.
+the previous iterate, so partitioned execution cannot reorder results.  The
+polish and the grid update evaluate the kernel on half-chords they form
+themselves, exactly as :func:`~sphereq.kernels.kernel_eval` forms them, so
+they skip its range checks and give its values bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .discrepancy import _COINCIDENCE_T, PointSet, mean_pair_discrepancy
+from .discrepancy import _COINCIDENCE_T, PointSet, _dot_rows, mean_pair_discrepancy
 from .kernels import (
     KernelSpec,
+    _kernel_eval_u,
+    _t_derivative_u,
     is_singular_at_coincidence,
-    kernel_eval,
-    kernel_t_derivative,
 )
 from .summation import block_buffers, blocked_map
 
@@ -108,34 +113,34 @@ def _dots(pts: np.ndarray, eta: np.ndarray) -> np.ndarray:
     )
 
 
-def _masked_kernel(
-    spec: KernelSpec, t: np.ndarray, coincident_t: float
+def _half_chord_kernel(
+    spec: KernelSpec,
+    t: np.ndarray,
+    coincident_t: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """K(t), with +inf where t >= coincident_t for a K singular at coincidence.
+    """K(t) on clipped dots t, with +inf where t >= coincident_t for a K
+    singular at coincidence.
 
-    Those entries of ``t`` are overwritten in place and never reach
-    :func:`kernel_eval`, so it does not raise.
+    ``t`` is overwritten with the half-chord u = sqrt((1 - t)/2), formed as
+    :func:`kernel_eval` forms it, so the values are its values bit for bit;
+    the caller may reuse u.  The result goes into ``out`` (a new array when
+    None), which must not be ``t``.  Coincident entries get a safe argument
+    while the kernel is evaluated and their u back afterwards, so the
+    singularity check of ``_kernel_eval_u`` does not raise.
     """
     hit = t >= coincident_t if is_singular_at_coincidence(spec) else None
-    coincident = hit is not None and bool(hit.any())
-    if coincident:
-        t[hit] = 0.0  # any safe argument; overwritten below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = kernel_eval(spec, t)
-    if coincident:
-        vals[hit] = np.inf
+    np.subtract(1.0, t, out=t)
+    t /= 2.0
+    np.sqrt(t, out=t)
+    if hit is None or not hit.any():
+        return _kernel_eval_u(spec, t, out)
+    held = t[hit]
+    t[hit] = 0.5
+    vals = _kernel_eval_u(spec, t, out)
+    t[hit] = held
+    vals[hit] = np.inf
     return vals
-
-
-def _objective(pts: np.ndarray, spec: KernelSpec, etas: np.ndarray) -> np.ndarray:
-    """sum_i K(x_i . eta) for every row eta of ``etas``, in one kernel call.
-
-    A row that lands exactly on a node (t == 1) of a kernel singular at
-    coincidence scores +inf.  Each row sum is bit for bit the 1-D sum of
-    that row alone.
-    """
-    t = _dots(pts, etas.T[:, :, None])  # (rows, nodes): each eta[c] is a column
-    return np.sum(_masked_kernel(spec, t, 1.0), axis=1)
 
 
 def _polish(
@@ -150,12 +155,15 @@ def _polish(
 
     Each iteration is a backtracking line search along the negative tangent
     gradient over the step lengths step0, step0/2, step0/4, ... > tol.  All
-    trial points are normalized and scored in one batched kernel evaluation,
-    and the longest step that lowers the objective is taken, exactly as a
-    sequential halving search would take it.  A trial that lands on a node
-    scores +inf and is passed over.  Descent stops when no step lowers the
-    objective, the gradient vanishes, or an accepted step is shorter than
-    ``tol``.
+    trial points are normalized and scored in one pass: their dots with the
+    nodes, the half-chords u and the kernel values each fill one reused
+    buffer.  The longest step that lowers the objective is taken, exactly as
+    a sequential halving search would take it, and the u row of that trial
+    gives the next gradient, so no dot is formed twice.  A trial that lands
+    on a node scores +inf and is passed over.  Descent stops when no step
+    lowers the objective, the gradient vanishes, or an accepted step is
+    shorter than ``tol``.  Each trial's row sum is bit for bit the sum of
+    that row alone.
     """
     alphas = []
     alpha = step0
@@ -163,28 +171,32 @@ def _polish(
         alphas.append(alpha)
         alpha *= 0.5
     alphas = np.array(alphas)[:, None]
-    f = _objective(pts, spec, eta[None, :])[0]
-    for _ in range(max_iter):
-        t = _dots(pts, eta)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dk = np.atleast_1d(kernel_t_derivative(spec, t))
-        grad = np.sum(dk[:, None] * pts, axis=0)
-        g_t = grad - np.dot(grad, eta) * eta
-        g_norm = float(np.sqrt(np.dot(g_t, g_t)))
-        if g_norm == 0.0 or not math.isfinite(g_norm):
-            break
-        trials = eta - alphas * (g_t / g_norm)
-        # np.vecdot rounds as np.dot does on one row; np.sum(v * v) does not
-        trials /= np.sqrt(np.vecdot(trials, trials))[:, None]
-        f_trials = _objective(pts, spec, trials)
-        lower = np.flatnonzero(f_trials < f)
-        if lower.size == 0:
-            break
-        trial = trials[lower[0]]
-        step = float(np.sqrt(np.sum((trial - eta) ** 2)))
-        eta, f = trial, f_trials[lower[0]]
-        if step < tol:
-            break
+    shape = (alphas.shape[0], pts.shape[0])
+    u, work, vals = np.empty(shape), np.empty(shape), np.empty(shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        row = _dot_rows(eta[None, :], pts)
+        f = np.sum(_half_chord_kernel(spec, row, 1.0), axis=1)[0]
+        u_eta = row[0]
+        for _ in range(max_iter):
+            dk = _t_derivative_u(spec, u_eta)
+            grad = np.sum(dk[:, None] * pts, axis=0)
+            g_t = grad - np.dot(grad, eta) * eta
+            g_norm = float(np.sqrt(np.dot(g_t, g_t)))
+            if g_norm == 0.0 or not math.isfinite(g_norm):
+                break
+            trials = eta - alphas * (g_t / g_norm)
+            # np.vecdot rounds as np.dot does on one row; np.sum(v * v) does not
+            trials /= np.sqrt(np.vecdot(trials, trials))[:, None]
+            _dot_rows(trials, pts, out=u, work=work)
+            f_trials = np.sum(_half_chord_kernel(spec, u, 1.0, vals), axis=1)
+            lower = np.flatnonzero(f_trials < f)
+            if lower.size == 0:
+                break
+            trial = trials[lower[0]]
+            step = float(np.sqrt(np.sum((trial - eta) ** 2)))
+            eta, f, u_eta = trial, f_trials[lower[0]], u[lower[0]]
+            if step < tol:
+                break
     return eta
 
 
@@ -201,7 +213,8 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
 
 def _grid_kernel(spec: KernelSpec, grid_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K(grid . x) for every candidate; +inf where a singular K meets x."""
-    return _masked_kernel(spec, _dots(grid_pts, x), _COINCIDENCE_T)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _half_chord_kernel(spec, _dots(grid_pts, x), _COINCIDENCE_T)
 
 
 def _grid_scores(

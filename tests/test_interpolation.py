@@ -11,9 +11,16 @@ from sphereq.errors import (
     ConfigurationError,
     DomainError,
 )
-from sphereq.kernels import KernelSpec
+from sphereq.kernels import (
+    CHORDAL,
+    KernelSpec,
+    is_singular_at_coincidence,
+    kernel_eval,
+    parse_kernel,
+)
 from sphereq.discrepancy import PointSet
 from sphereq.pointgen import candidate_grid, random_unit_points
+from sphereq import interpolation
 from sphereq.interpolation import (
     epsilon_sweep,
     fit_interpolant,
@@ -274,6 +281,40 @@ def test_loocv_input_errors_keep_their_types():
     with pytest.raises(DomainError):
         epsilon_sweep(PointSet(pts), y[:-1], CF, eps_grid=[1.0])
 
+
+
+def _saddle_oracle(r, p, spec, epsilon, sigma):
+    """The saddle matrix from one chordal kernel_eval of eps * r."""
+    n, m = p.shape
+    scaled, diag = epsilon * r, np.arange(n)
+    singular = is_singular_at_coincidence(spec)
+    if singular:
+        scaled[diag, diag] = 1.0
+    g = np.zeros((n + m, n + m))
+    g[:n, :n] = kernel_eval(spec.with_convention(CHORDAL), scaled)
+    if singular:
+        g[diag, diag] = 0.0
+    g[diag, diag] += sigma**2
+    g[:n, n:] = p
+    g[n:, :n] = p.T
+    return g
+
+
+@pytest.mark.parametrize(
+    "name, sigma",
+    [("cui-freeden", 0.0), ("cui-freeden", 0.1), ("pycke", 0.1), ("riesz:s=1", 0.1)],
+)
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_saddle_is_bit_identical_to_a_kernel_eval_of_eps_r(name, sigma, degree):
+    spec = parse_kernel(name)
+    r, p = interpolation._geometry(random_unit_points(90, seed=26), degree)
+    for eps in (0.5, 1.0, 3.0, 6.0, 0.37):
+        g = interpolation._saddle(r, p, spec, eps, sigma)
+        assert g.tobytes() == _saddle_oracle(r, p, spec, eps, sigma).tobytes()
+    with pytest.raises(DomainError):  # kernel_eval rejects a negative eps * r
+        _saddle_oracle(r, p, spec, -1.0, sigma)
+    with pytest.raises(DomainError):
+        interpolation._saddle(r, p, spec, -1.0, sigma)
 
 @pytest.mark.xfail(
     strict=True,

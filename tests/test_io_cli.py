@@ -165,6 +165,26 @@ def test_cli_refine_writes_history(tmp_path):
     assert len(lines) == 21
 
 
+
+@pytest.mark.parametrize(
+    "out, history",
+    [
+        ("runs.v2/refined", "runs.v2/refined_history.csv"),  # dot in a directory
+        ("./refined", "refined_history.csv"),  # no extension
+        ("refined.csv", "refined_history.csv"),
+    ],
+)
+def test_cli_refine_history_sits_beside_the_output(out, history, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    assert main(["refine", "--n", "20", "--seed", "3", "--iters", "5",
+                 "--knn", "4", "--out", out]) == 0
+    assert (tmp_path / out).is_file()
+    assert sorted(p.name for p in tmp_path.rglob("*history*")) == [
+        os.path.basename(history)
+    ]
+    assert (tmp_path / history).read_text().startswith("iteration,discrepancy\n")
+
 @pytest.mark.parametrize("n, iters", [(206, 200), (998, 30)])
 def test_cli_refine_is_byte_identical_across_thread_counts(
     n, iters, tmp_path, monkeypatch
@@ -201,6 +221,14 @@ def test_cli_convert_json(tmp_path):
     assert main(["convert", str(cart), str(out), "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     assert len(payload["points"]) == 4
+
+
+def test_cli_convert_rejects_a_non_numeric_angle(tmp_path, capsys):
+    sph = tmp_path / "pts_sph.csv"
+    sph.write_text("theta,phi\n0.5,1\n\nabc,1\n")
+    assert main(["convert", str(sph), str(tmp_path / "out.csv")]) == 4
+    assert "line 4: field is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_interpolate_model_json(tmp_path):

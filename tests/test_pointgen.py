@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from sphereq import pointgen
 from sphereq.errors import ConfigurationError, DomainError, SingularKernelError
-from sphereq.kernels import KernelSpec, kernel_eval, kernel_t_derivative, parse_kernel
+from sphereq.kernels import (
+    KernelSpec,
+    is_singular_at_coincidence,
+    kernel_eval,
+    kernel_t_derivative,
+    parse_kernel,
+)
 from sphereq.discrepancy import (
     _COINCIDENCE_T,
     EXCLUDE,
@@ -232,6 +238,77 @@ def test_polish_matches_scalar_oracle(name):
                 out = pointgen._polish(eta, nodes, spec, step0)
                 assert np.array_equal(out, _polish_oracle(eta, nodes, spec, step0))
 
+
+
+def _x_trial(eta, alpha, sign):
+    """eta stepped by alpha along sign * e_x, normalized as the polish does."""
+    v = eta - alpha * np.array([sign, 0.0, 0.0])
+    return v / np.sqrt(np.vecdot(v, v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["pycke", "pycke:d1", "pycke:d2", "cui-freeden", "riesz:s=1"]),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**31),
+    step0=st.sampled_from([0.5, 0.125, 4.0 / math.sqrt(8192)]),
+    plant=st.sampled_from(["none", "trials", "eta"]),
+    j=st.integers(0, 12),
+    k=st.integers(0, 12),
+)
+def test_polish_is_bit_identical_to_the_oracle(name, n, seed, step0, plant, j, k):
+    spec = parse_kernel(name)
+    if plant == "none":
+        nodes = random_unit_points(n, seed).points
+        eta = random_unit_points(1, seed + 1).points[0]
+    else:
+        # Nodes on the great circle y = 0 through eta = e_z give a gradient
+        # with no y part, so the first descent direction is +-e_x exactly,
+        # whatever the nodes.  Plant a node on the j-th trial toward +x and
+        # one on the k-th toward -x, or one on eta itself.
+        eta = np.array([0.0, 0.0, 1.0])
+        theta = np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
+        nodes = np.column_stack([np.sin(theta), np.zeros(n), np.cos(theta)])
+        if plant == "trials":
+            extra = [_x_trial(eta, step0 * 0.5**j, 1.0), _x_trial(eta, step0 * 0.5**k, -1.0)]
+        else:
+            extra = [eta]
+        nodes = np.vstack([nodes] + extra)
+    out = pointgen._polish(eta, nodes, spec, step0)
+    if plant == "eta" and is_singular_at_coincidence(spec):
+        # the oracle raises here; eta scores +inf and its gradient is not
+        # finite, so descent stops where it starts
+        assert out.tobytes() == eta.tobytes()
+    else:
+        assert out.tobytes() == _polish_oracle(eta, nodes, spec, step0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pycke", "pycke:d1", "pycke:d2", "cui-freeden", "riesz:s=1", "gine", "ajne:d1"],
+)
+def test_grid_update_matches_a_kernel_eval_grid_sum(name):
+    spec = parse_kernel(name)
+    grid = candidate_grid(1024).points.points
+    near = grid[40] + np.array([0.0, 1e-7, 0.0])  # 1 - t about 5e-15
+    xs = [grid[7], near / np.linalg.norm(near), random_unit_points(1, 5).points[0]]
+    got, want = np.zeros(len(grid)), np.zeros(len(grid))
+    for x in xs:
+        t = pointgen._dots(grid, x)
+        hit = t >= _COINCIDENCE_T if is_singular_at_coincidence(spec) else t > 1.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = kernel_eval(spec, np.where(hit, 0.0, t))
+        vals[hit] = np.inf
+        want += vals
+        got += pointgen._grid_kernel(spec, grid, x)
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got).any() == is_singular_at_coincidence(spec)
+    # an antipodal candidate still raises where kernel_eval raises
+    if spec.family == "ajne":
+        with pytest.raises(SingularKernelError):
+            kernel_eval(spec, pointgen._dots(grid, -grid[7]))
+        with pytest.raises(SingularKernelError):
+            pointgen._grid_kernel(spec, grid, -grid[7])
 
 @pytest.mark.parametrize("name", ["pycke", "pycke:d1", "pycke:d2"])
 def test_greedy_generate_matches_oracle_polish(name, monkeypatch):
