@@ -3,8 +3,8 @@
 Subcommands: generate, refine, score, interpolate, sweep, table1, table2,
 convert.  Exit codes: 0 success, 2 argument error, 3 numerical failure
 (singularity or conditioning), 4 I/O error.  Identical flags and seeds
-produce byte-identical output files; ``SPHERE_EQ_THREADS`` caps the worker
-count without changing any output.
+produce byte-identical output files.  Malformed seed lists and epsilon grids
+are argument errors (exit code 2).
 """
 
 from __future__ import annotations
@@ -39,18 +39,33 @@ from .sphio import cartesian_to_spherical, read_pointset, spherical_to_cartesian
 from . import tables
 
 
+def _number(text: str, kind, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{what}: {text.strip()!r} is not a number") from None
+
+
 def _parse_seeds(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    seeds = [_number(p, int, "seed list") for p in text.split(",") if p.strip()]
+    if not seeds or min(seeds) < 0:
+        raise DomainError("seed list must be comma-separated non-negative integers")
+    return seeds
 
 
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
-        if step <= 0 or stop < start:
-            raise DomainError("epsilon grid must be start:stop:step with step > 0")
+        fields = text.split(":")
+        if len(fields) != 3:
+            raise DomainError("epsilon grid must be start:stop:step")
+        start, stop, step = (_number(p, float, "epsilon grid") for p in fields)
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+            raise DomainError(
+                "epsilon grid must be start:stop:step, finite, with stop >= start and step > 0"
+            )
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_number(p, float, "epsilon grid") for p in text.split(",") if p.strip()]
 
 
 def _write_text(path, text: str) -> None:
@@ -79,7 +94,6 @@ def _cmd_refine(args) -> int:
         iterations=args.iters,
         riesz_s=args.riesz_s,
         offset=args.offset,
-        seed=args.seed,
     )
     refined, history = riesz_refine(pts, params)
     write_pointset(args.out, refined)

@@ -10,17 +10,17 @@ Three scoring routes share one deterministic pairwise-summation backend:
 * quadratic forms of discrete signed measures (:func:`signed_discrepancy`).
 
 All pair sums accumulate in fixed index order with compensated block merging,
-so reports are bit-identical across runs and worker counts.
+so reports are bit-identical from run to run.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
 A block of 64 rows i0:i1 builds the dots for the columns j >= i0 in the
-block buffers of its thread, scans them for coincident pairs when the
-kernel is singular there, maps them in place to the half-chord
-u = sqrt((1 - t)/2) and evaluates the kernel over u in place; its partial
-is the sum of the diagonal tile plus twice the sum of the tile to its
-right.  That is exact in structure: the three-term dot gives t_ij == t_ji
-bit for bit.  The blocks run on the worker lanes of
-:mod:`sphereq.summation`, so a block allocates no block-sized float array.
+reused block buffers of :mod:`sphereq.summation`, scans them for coincident
+pairs when the kernel is singular there, maps them in place to the
+half-chord u = sqrt((1 - t)/2) and evaluates the kernel over u in place;
+its partial is the sum of the diagonal tile plus twice the sum of the tile
+to its right.  That is exact in structure: the three-term dot gives
+t_ij == t_ji bit for bit.  The blocks run one after another on the calling
+thread, so a block allocates no block-sized float array.
 
 The series score rests on one quantity, the Legendre power sums
 S_n = sum_ij P_n(x_i . x_j) for n = 0..n_max.  Every derivative order is a

@@ -14,7 +14,9 @@ estimate from that factor.  A shape-parameter sweep computes the distances
 and the tail block once and rebuilds only the kernel block per epsilon.
 Outputs are byte-stable for a fixed OPENBLAS_NUM_THREADS, but not across BLAS
 thread counts: the distance product and LAPACK round differently with more
-threads.  SPHERE_EQ_THREADS does not affect this module.
+threads.  Every fit, LOOCV route and sweep checks its centers, data, shape
+and smoothing parameters the same way before any work, with the
+``DomainError`` messages of :func:`fit_interpolant`.
 """
 
 from __future__ import annotations
@@ -106,6 +108,21 @@ class InterpolantModel:
         }
 
 
+def _checked_y(centers, y, epsilon, sigma) -> np.ndarray:
+    """``y`` as a flat float array, once the arguments every fit shares pass.
+
+    ``epsilon`` None skips the shape check, for a sweep that checks its grid.
+    """
+    if epsilon is not None and not epsilon > 0.0:
+        raise DomainError("shape parameter must be positive")
+    if not sigma >= 0.0:
+        raise DomainError("smoothing parameter must be non-negative")
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != len(centers):
+        raise DomainError("one observation per center required")
+    return y
+
+
 def _geometry(centers, poly_degree):
     """Chordal distances and monomial block; neither depends on epsilon."""
     pts = centers.points
@@ -151,13 +168,7 @@ def fit_interpolant(
     poly_degree: int = 1,
 ) -> InterpolantModel:
     """Solve the saddle system for the kernel and tail coefficients."""
-    if epsilon <= 0.0:
-        raise DomainError("shape parameter must be positive")
-    if sigma < 0.0:
-        raise DomainError("smoothing parameter must be non-negative")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != len(centers):
-        raise DomainError("one observation per center required")
+    y = _checked_y(centers, y, epsilon, sigma)
     g = _saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma)
     rhs = np.concatenate([y, np.zeros(g.shape[0] - y.size)])
     try:
@@ -201,7 +212,7 @@ def loocv_errors_slow(
 
     Entries where the reduced system is singular are reported as NaN.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = _checked_y(centers, y, epsilon, sigma)
     n = len(centers)
     if n < 3:
         raise DomainError("leave-one-out needs at least 3 centers")
@@ -246,9 +257,7 @@ def loocv_errors_fast(
     poly_degree: int = 1,
 ) -> np.ndarray:
     """Leave-one-out errors from one factorization: e_v = c_v / (G^{-1})_vv."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != len(centers):
-        raise DomainError("one observation per center required")
+    y = _checked_y(centers, y, epsilon, sigma)
     return _loocv(_saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma), y)
 
 
@@ -278,11 +287,9 @@ def epsilon_sweep(
 ) -> SweepReport:
     """Grid-minimize the LOOCV mean square error over the shape parameter."""
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0.0 for e in eps_grid):
+    if not eps_grid or not all(e > 0.0 for e in eps_grid):
         raise DomainError("epsilon grid must be non-empty and positive")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != len(centers):
-        raise DomainError("one observation per center required")
+    y = _checked_y(centers, y, None, sigma)
     try:
         r, p = _geometry(centers, poly_degree)
     except DomainError as exc:

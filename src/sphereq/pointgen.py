@@ -10,11 +10,11 @@ Three generators:
   values each fill one reused buffer, and the accepted trial's u row gives
   the next gradient, so each iteration forms its dots once),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
-  re-projected to the sphere each iteration; the k-NN row blocks run on
-  the worker pool of :mod:`sphereq.summation`.
+  re-projected to the sphere each iteration; the k-NN scan goes in row
+  blocks through the reused block buffers of :mod:`sphereq.summation`.
 
-Everything is deterministic for a fixed seed; per-iteration updates read only
-the previous iterate, so partitioned execution cannot reorder results.  The
+Everything is deterministic for a fixed seed, and everything runs on the
+calling thread; per-iteration updates read only the previous iterate.  The
 polish and the grid update evaluate the kernel on half-chords they form
 themselves, exactly as :func:`~sphereq.kernels.kernel_eval` forms them, so
 they skip its range checks and give its values bit for bit.
@@ -52,7 +52,6 @@ class RefineParams:
     riesz_s: float = 1.0
     offset: float = 19.0
     refresh_period: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.k_neighbors < 1:
@@ -268,8 +267,9 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
 
     Brute-force O(N^2) scan with a partial sort per row; ties break toward
     the lower index, also at the k-th distance; a point is never its own
-    neighbor.  Rows go in blocks of KNN_ROWS, so no N x N array is made,
-    and the blocks run on the worker pool of :mod:`sphereq.summation`.
+    neighbor.  Rows go in blocks of KNN_ROWS through
+    :func:`sphereq.summation.blocked_map`, in that module's reused block
+    buffers, so no N x N array is made.
     """
     n = len(pts)
     if k >= n:

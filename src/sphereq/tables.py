@@ -13,11 +13,12 @@ Two pipelines, each emitting CSV rows ``N,kernel,D``:
   normalization D = (1/N) sqrt(sum_ij).
 
 Cells are medians over the seed panel.  Both pipelines are bit-deterministic
-for fixed seeds, including across worker counts.
+for fixed seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .discrepancy import (
@@ -112,22 +113,18 @@ def run_table2(
     params: RefineParams | None = None,
     n_list=TABLE_N,
 ) -> list[tuple[int, str, float]]:
-    """Refined random node sets scored by the centered bounded kernels."""
+    """Refined random node sets scored by the centered bounded kernels.
+
+    Every (N, seed) cell refines its own random start with ``params``, its
+    neighbor count capped at N - 1.
+    """
     base = params or RefineParams()
     n_list = sorted(n_list)
     cells: dict[tuple[int, str], list[float]] = {}
     for n in n_list:
         for seed in seeds:
-            child_seed = seed * 100003 + n
-            pts = random_unit_points(n, seed=child_seed)
-            refine = RefineParams(
-                k_neighbors=min(base.k_neighbors, n - 1),
-                iterations=base.iterations,
-                riesz_s=base.riesz_s,
-                offset=base.offset,
-                refresh_period=base.refresh_period,
-                seed=child_seed,
-            )
+            pts = random_unit_points(n, seed=seed * 100003 + n)
+            refine = dataclasses.replace(base, k_neighbors=min(base.k_neighbors, n - 1))
             refined, _ = riesz_refine(pts, refine, history_metric=False)
             for spec in TABLE2_KERNELS:
                 cells.setdefault((n, spec.name), []).append(

@@ -283,6 +283,31 @@ def test_loocv_input_errors_keep_their_types():
 
 
 
+@pytest.mark.parametrize("fit", [fit_interpolant, loocv_errors_fast, loocv_errors_slow])
+def test_fits_and_loocv_check_their_arguments_alike(fit):
+    pts = random_unit_points(12, seed=24)
+    y = franke_eval(pts.points)
+    for epsilon in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="shape parameter must be positive"):
+            fit(pts, y, CF, epsilon, 0.1, 1)
+    with pytest.raises(DomainError, match="smoothing parameter must be non-negative"):
+        fit(pts, y, CF, 1.5, -0.1, 1)
+    for short in (y[:-1], y[:1]):
+        with pytest.raises(DomainError, match="one observation per center required"):
+            fit(pts, short, CF, 1.5, 0.1, 1)
+
+
+def test_sweep_checks_its_data_and_smoothing_like_a_fit():
+    pts = random_unit_points(12, seed=24)
+    y = franke_eval(pts.points)
+    with pytest.raises(DomainError, match="smoothing parameter must be non-negative"):
+        epsilon_sweep(pts, y, CF, eps_grid=[1.0, 2.0], sigma=-0.1)
+    with pytest.raises(DomainError, match="one observation per center required"):
+        epsilon_sweep(pts, y[:1], CF, eps_grid=[1.0])
+    with pytest.raises(DomainError, match="epsilon grid must be non-empty and positive"):
+        epsilon_sweep(pts, y, CF, eps_grid=[1.0, math.nan])
+
+
 def _saddle_oracle(r, p, spec, epsilon, sigma):
     """The saddle matrix from one chordal kernel_eval of eps * r."""
     n, m = p.shape

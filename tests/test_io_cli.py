@@ -267,6 +267,23 @@ def test_cli_exit_codes(tmp_path):
     assert main(["score", str(bad)]) == 4
 
 
+@pytest.mark.parametrize("epsilon", ["1:2", "1:2:3:4", "a,b", "1:x:0.5", "nan:2:1", "1:inf:1"])
+def test_cli_sweep_rejects_a_malformed_epsilon_grid(epsilon, tmp_path, capsys):
+    pts_path = tmp_path / "centers.csv"
+    write_pointset(pts_path, random_unit_points(14, seed=4))
+    assert main(["sweep", str(pts_path), "--epsilon", epsilon]) == 2
+    assert capsys.readouterr().err.startswith("error: epsilon grid")
+
+
+@pytest.mark.parametrize("table", ["table1", "table2"])
+@pytest.mark.parametrize("seeds", ["x", "1,x", "", ",", "1.5", "-1"])
+def test_cli_tables_reject_a_malformed_seed_list(table, seeds, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main([table, "--seed", seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed list")
+    assert not out.exists()
+
+
 def test_cli_unknown_kernel(tmp_path):
     pts_path = tmp_path / "pts.csv"
     write_pointset(pts_path, tetrahedron())

@@ -1,5 +1,4 @@
-import multiprocessing
-import os
+import math
 import sys
 import threading
 import time
@@ -7,91 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from sphereq import summation
-from sphereq.summation import block_buffers, blocked_map, blocked_pair_reduce
-
-
-def recording_rows(seen, lock):
-    def rows(i0, i1):
-        time.sleep(0.002)  # long enough for every pool thread to take a block
-        with lock:
-            seen.add(threading.get_ident())
-        return float(i1 - i0)
-
-    return rows
-
-
-def test_pool_is_reused_and_follows_the_thread_setting(monkeypatch):
-    seen, lock = set(), threading.Lock()
-    rows = recording_rows(seen, lock)
-    monkeypatch.setenv("SPHERE_EQ_THREADS", "2")
-    assert blocked_pair_reduce(640, rows) == 640.0
-    started = threading.active_count()
-    for _ in range(10):
-        assert blocked_pair_reduce(640, rows) == 640.0
-    assert threading.active_count() == started
-    two = set(seen)
-    assert 1 < len(two) <= 2 and threading.get_ident() not in two
-
-    seen.clear()
-    monkeypatch.setenv("SPHERE_EQ_THREADS", "3")
-    assert blocked_pair_reduce(640, rows) == 640.0
-    assert 1 < len(seen) <= 3 and not seen & two
-
-    seen.clear()
-    monkeypatch.setenv("SPHERE_EQ_THREADS", "1")
-    assert blocked_pair_reduce(640, rows) == 640.0
-    assert seen == {threading.get_ident()}
-
-
-def reduce_in_child(queue):
-    queue.put(blocked_pair_reduce(640, lambda i0, i1: float(i1 - i0)))
-
-
-def test_forked_child_gets_working_pools(monkeypatch):
-    # the child inherits the parent's pool objects but none of their threads
-    monkeypatch.setenv("SPHERE_EQ_THREADS", "2")
-    blocked_pair_reduce(640, lambda i0, i1: 0.0)
-    assert summation._pools
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    child = ctx.Process(target=reduce_in_child, args=(queue,))
-    child.start()
-    try:
-        assert queue.get(timeout=30) == 640.0
-    finally:
-        child.join(timeout=30)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-
-
-def spans_of(n_rows, block=64):
-    return [(i, min(i + block, n_rows)) for i in range(0, n_rows, block)]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_blocked_map_returns_blocks_in_order(workers, monkeypatch):
-    monkeypatch.setenv("SPHERE_EQ_THREADS", str(workers))
-    per_lane = summation.LANE_SPANS
-    # span counts below, at and above the worker count, and around the
-    # fewest blocks that get a second lane
-    counts = {1, 2, workers, workers + 1, 2 * per_lane - 1, 2 * per_lane,
-              per_lane * workers, per_lane * workers + 3}
-    for n_spans in sorted(counts):
-        n_rows = 64 * n_spans - 5
-        got = blocked_map(n_rows, lambda i0, i1: (i0, i1, threading.get_ident()))
-        assert [g[:2] for g in got] == spans_of(n_rows)
-        lanes = min(workers, n_spans // per_lane)
-        threads = {g[2] for g in got}
-        if lanes <= 1:
-            assert threads == {threading.get_ident()}
-        else:
-            # one lane per worker, each run on a single pool thread
-            assert threading.get_ident() not in threads
-            for lane in range(lanes):
-                assert len({g[2] for g in got[lane::lanes]}) == 1
-    assert blocked_map(0, lambda i0, i1: None) == []
+from sphereq import discrepancy, pointgen, summation
+from sphereq.kernels import KernelSpec
+from sphereq.summation import block_buffers, blocked_map
 
 
 class BlockError(Exception):
@@ -115,19 +32,6 @@ def test_blocked_map_raises_the_lowest_failing_block(workers, monkeypatch):
         blocked_map(64 * 17, rows)  # up to four lanes
     assert err.value.args == (3,)
     assert blocked_map(192, rows) == [0, 1, 2]
-
-
-def test_worker_count_follows_the_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("SPHERE_EQ_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
-    assert summation.worker_count() == 3
-    for raw, expect in (("2", 2), ("0", 3), ("many", 3), ("", 3)):
-        monkeypatch.setenv("SPHERE_EQ_THREADS", raw)
-        assert summation.worker_count() == expect
-    # platforms without an affinity call fall back to the CPU count
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert summation.worker_count() == 64
 
 
 def test_block_buffers_are_reused_per_thread():
@@ -176,3 +80,26 @@ def test_lanes_keep_their_buffers_under_thread_switching(monkeypatch):
                 break
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_pair_sums_and_knn_run_every_block_on_the_calling_thread(monkeypatch):
+    # each block takes its buffers once, so recording that call shows which
+    # thread ran the block and how many threads were alive meanwhile
+    calls = []
+
+    def recording(rows, cols):
+        calls.append((threading.get_ident(), threading.active_count()))
+        return block_buffers(rows, cols)
+
+    monkeypatch.setattr(discrepancy, "block_buffers", recording)
+    monkeypatch.setattr(pointgen, "block_buffers", recording)
+    pts = pointgen.random_unit_points(998, seed=1)
+    started = threading.active_count()
+    blocks = math.ceil(998 / 64)
+    for spec, policy in ((KernelSpec("cui-freeden"), "include"), (KernelSpec("pycke"), "exclude")):
+        discrepancy._pair_kernel_sum(pts, spec, policy)
+    assert len(calls) == 2 * blocks
+    pointgen.knn_indices(pts, 12)
+    assert len(calls) == 2 * blocks + math.ceil(998 / pointgen.KNN_ROWS)
+    assert set(calls) == {(threading.get_ident(), started)}
+    assert threading.active_count() == started
