@@ -13,14 +13,16 @@ All pair sums accumulate in fixed index order with compensated block merging,
 so reports are bit-identical from run to run.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
-A block of 64 rows i0:i1 builds the dots for the columns j >= i0 in the
-reused block buffers of :mod:`sphereq.summation`, scans them for coincident
-pairs when the kernel is singular there, maps them in place to the
-half-chord u = sqrt((1 - t)/2) and evaluates the kernel over u in place;
-its partial is the sum of the diagonal tile plus twice the sum of the tile
-to its right.  That is exact in structure: the three-term dot gives
-t_ij == t_ji bit for bit.  The blocks run one after another on the calling
-thread, so a block allocates no block-sized float array.
+A block of 64 rows i0:i1 builds the dots for the columns j >= i0 with one
+``einsum`` contraction (:func:`_dot_block`, which the greedy polish and the
+k-NN scan share) in the reused block buffers of :mod:`sphereq.summation`,
+scans them for coincident pairs when the kernel is singular there, maps
+them in place to the half-chord u = sqrt((1 - t)/2) and evaluates the
+kernel over u in place; its partial is the sum of the diagonal tile plus
+twice the sum of the tile to its right.  That is exact in structure: the
+three-term dot gives t_ij == t_ji bit for bit.  The blocks run one after
+another on the calling thread, so a block allocates no block-sized float
+array.
 
 The series score rests on one quantity, the Legendre power sums
 S_n = sum_ij P_n(x_i . x_j) for n = 0..n_max.  Every derivative order is a
@@ -53,7 +55,6 @@ from .kernels import (
     SymbolSequence,
     _kernel_eval_u,
     is_singular_at_coincidence,
-    kernel_eval,
 )
 from .legendre import derivative_recurrence
 from .summation import block_buffers, block_sum, blocked_pair_reduce, neumaier_sum
@@ -86,6 +87,8 @@ class PointSet:
             raise DomainError("points must be an (N, 3) array")
         if pts.shape[0] < 1:
             raise DomainError("a point set holds at least one point")
+        if not np.isfinite(pts).all():
+            raise DomainError("point coordinates must be finite")
         norms = np.sqrt(np.sum(pts * pts, axis=1))
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise DomainError("every point must have unit norm (within 1e-12)")
@@ -137,31 +140,43 @@ class DiscrepancyReport:
         }
 
 
+def _dot_block(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unclipped dots out[r, c] = a[:, r] . b[:, c] of (3, m) and (3, n) arrays.
+
+    One ``einsum`` contraction, an elementwise three-term dot rather than
+    BLAS, so results do not depend on the library's thread count.  On
+    C-contiguous operands it forms (a0*b0 + a1*b1) + a2*b2 with a separate
+    multiply and add per term, the bits of the explicit product; strided
+    operands can take another loop, so callers pass contiguous copies.  A
+    1 x 1 output also takes another loop, so it is formed explicitly.
+    """
+    if out.shape == (1, 1):
+        out[0, 0] = (a[0, 0] * b[0, 0] + a[1, 0] * b[1, 0]) + a[2, 0] * b[2, 0]
+        return out
+    return np.einsum("ki,kj->ij", a, b, out=out)
+
+
 def _dot_rows(
-    block: np.ndarray,
-    pts: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    block: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Clipped dots t[r, c] = block[r] . pts[c], built in one buffer.
 
-    An elementwise three-term dot, not BLAS, so results do not depend on the
-    library's thread count.  The products commute and are added in the same
-    order, so the rows i, j of one set give t_ij == t_ji bit for bit.  The
-    dots go into ``out`` and each outer product through ``work``, two
-    (len(block), len(pts)) buffers made here when None.
+    The dots of :func:`_dot_block` on contiguous transposed copies.  The
+    products commute and are added in the same order, so the rows i, j of
+    one set give t_ij == t_ji bit for bit.  The dots go into ``out``, a
+    (len(block), len(pts)) buffer made here when None.
     """
     a, b = np.ascontiguousarray(block.T), np.ascontiguousarray(pts.T)
-    shape = (a.shape[1], b.shape[1])
-    t = np.empty(shape) if out is None else out
-    term = np.empty(shape) if work is None else work
-    # einsum forms each outer product with one multiplication per entry, in
-    # half the time of a broadcast multiply; only the sign of a zero differs
-    np.einsum("i,j->ij", a[0], b[0], out=t)
-    for c in (1, 2):
-        np.einsum("i,j->ij", a[c], b[c], out=term)
-        t += term
+    t = np.empty((a.shape[1], b.shape[1])) if out is None else out
+    _dot_block(a, b, t)
     return np.clip(t, -1.0, 1.0, out=t)
+
+
+def _half_chords(t: np.ndarray) -> np.ndarray:
+    """Map clipped dots t in place to u = sqrt((1 - t)/2), as kernel_eval does."""
+    np.subtract(1.0, t, out=t)
+    t /= 2.0
+    return np.sqrt(t, out=t)
 
 
 def pair_dot_matrix(pts: PointSet) -> np.ndarray:
@@ -191,7 +206,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
         d = np.arange(b)
         # rows j >= i0, columns i0 <= i < i1: the diagonal tile, then the
         # tile to its right in the full matrix
-        u = _dot_rows(p[i0:], p[i0:i1], *block_buffers(len(p) - i0, b))
+        u = _dot_rows(p[i0:], p[i0:i1], block_buffers(len(p) - i0, b)[0])
         # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
         # the half-chord sqrt amplifying last-bit norm rounding
         u[d, d] = 0.0 if exclude else 1.0
@@ -207,11 +222,8 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
                     f"coincident points at indices {i} and {j}",
                     indices=(i, j),
                 )
-        np.subtract(1.0, u, out=u)
-        u /= 2.0
-        np.sqrt(u, out=u)
         # the clip keeps u in [0, 1], so only the singularity checks remain
-        k = _kernel_eval_u(spec, u, out=u)
+        k = _kernel_eval_u(spec, _half_chords(u), out=u)
         if exclude:
             k[d, d] = 0.0
         return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
@@ -428,11 +440,10 @@ def measure_inner_product(
         )
     pa, pb = mu.points.points, omega.points.points
     wa, wb = mu.weights, omega.weights
-    tspec = spec.with_convention("dot_product_t")
 
     def row_block(i0: int, i1: int) -> float:
-        t = _dot_rows(pa[i0:i1], pb)
-        k = np.atleast_2d(kernel_eval(tspec, t))
+        # the clipped dots are in range, so only the singularity checks remain
+        k = _kernel_eval_u(spec, _half_chords(_dot_rows(pa[i0:i1], pb)))
         return block_sum(k * (wa[i0:i1][:, None] * wb[None, :]))
 
     return blocked_pair_reduce(pa.shape[0], row_block)

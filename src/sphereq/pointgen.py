@@ -10,8 +10,13 @@ Three generators:
   values each fill one reused buffer, and the accepted trial's u row gives
   the next gradient, so each iteration forms its dots once),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
-  re-projected to the sphere each iteration; the k-NN scan goes in row
-  blocks through the reused block buffers of :mod:`sphereq.summation`.
+  re-projected to the sphere each iteration.  The iterate is kept
+  component-major, so a step is a few whole-row passes.  The k-NN scan
+  goes in row blocks through the reused block buffers of
+  :mod:`sphereq.summation`: the squared chords come from the dot
+  contraction of the pair sums, each row's k + 1 nearest from
+  ``argpartition``, and only rows that tie at the k-th distance are
+  scanned again.
 
 Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
@@ -28,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .discrepancy import _COINCIDENCE_T, PointSet, _dot_rows, mean_pair_discrepancy
+from .discrepancy import (
+    _COINCIDENCE_T,
+    PointSet,
+    _dot_block,
+    _dot_rows,
+    _half_chords,
+    mean_pair_discrepancy,
+)
 from .kernels import (
     KernelSpec,
     _kernel_eval_u,
@@ -129,9 +141,7 @@ def _half_chord_kernel(
     singularity check of ``_kernel_eval_u`` does not raise.
     """
     hit = t >= coincident_t if is_singular_at_coincidence(spec) else None
-    np.subtract(1.0, t, out=t)
-    t /= 2.0
-    np.sqrt(t, out=t)
+    _half_chords(t)
     if hit is None or not hit.any():
         return _kernel_eval_u(spec, t, out)
     held = t[hit]
@@ -171,7 +181,7 @@ def _polish(
         alpha *= 0.5
     alphas = np.array(alphas)[:, None]
     shape = (alphas.shape[0], pts.shape[0])
-    u, work, vals = np.empty(shape), np.empty(shape), np.empty(shape)
+    u, vals = np.empty(shape), np.empty(shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         row = _dot_rows(eta[None, :], pts)
         f = np.sum(_half_chord_kernel(spec, row, 1.0), axis=1)[0]
@@ -186,7 +196,7 @@ def _polish(
             trials = eta - alphas * (g_t / g_norm)
             # np.vecdot rounds as np.dot does on one row; np.sum(v * v) does not
             trials /= np.sqrt(np.vecdot(trials, trials))[:, None]
-            _dot_rows(trials, pts, out=u, work=work)
+            _dot_rows(trials, pts, out=u)
             f_trials = np.sum(_half_chord_kernel(spec, u, 1.0, vals), axis=1)
             lower = np.flatnonzero(f_trials < f)
             if lower.size == 0:
@@ -268,41 +278,50 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
     Brute-force O(N^2) scan with a partial sort per row; ties break toward
     the lower index, also at the k-th distance; a point is never its own
     neighbor.  Rows go in blocks of KNN_ROWS through
-    :func:`sphereq.summation.blocked_map`, in that module's reused block
-    buffers, so no N x N array is made.
+    :func:`sphereq.summation.blocked_map`, each block's squared chords in
+    that module's reused block buffer, so no N x N array is made.
     """
     n = len(pts)
+    if k < 1:
+        raise DomainError("k must be positive")
     if k >= n:
         raise DomainError("k must be smaller than the number of points")
-    p = pts.points
+    p = np.ascontiguousarray(pts.points.T)
     return np.concatenate(
         blocked_map(n, lambda i0, i1: _knn_rows(p, i0, i1, k), KNN_ROWS)
     )
 
 
 def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int) -> np.ndarray:
+    # p is the (3, N) component-major point array
     rows = i1 - i0
-    q = p[i0:i1]
-    d2, work = block_buffers(rows, p.shape[0])
-    # squared chord 2 - 2 q . p
-    np.multiply(q[:, 0][:, None], p[:, 0], out=d2)
-    for c in (1, 2):
-        np.multiply(q[:, c][:, None], p[:, c], out=work)
-        d2 += work
+    d2, _ = block_buffers(rows, p.shape[1])
+    # squared chord 2 - 2 q . p, unclipped
+    _dot_block(np.ascontiguousarray(p[:, i0:i1]), p, d2)
     d2 *= 2.0
     np.subtract(2.0, d2, out=d2)
     np.maximum(0.0, d2, out=d2)
     r = np.arange(rows)
     d2[r, r + i0] = np.inf
-    # every column within its row's k-th smallest distance is a candidate;
-    # nonzero lists them by (row, index) and lexsort is stable, so sorted by
-    # (row, distance) a row's first k candidates are its neighbors, with
-    # ties at the k-th distance going to the lower index
-    np.copyto(work, d2)
-    work.partition(k - 1, axis=1)
-    row, col = np.nonzero(d2 <= work[:, k - 1 : k])
-    col = col[np.lexsort((d2[row, col], row))]
-    return col[np.searchsorted(row, r)[:, None] + np.arange(k)]
+    # the k + 1 nearest columns of each row, sorted by (distance, index):
+    # their first k are the neighbors unless the (k+1)-th ties the k-th
+    near = np.argpartition(d2, k, axis=1)[:, : k + 1]
+    dist = np.take_along_axis(d2, near, axis=1)
+    order = np.lexsort((near, dist), axis=1)
+    near = np.take_along_axis(near, order, axis=1)[:, :k]
+    dist = np.take_along_axis(dist, order, axis=1)
+    tied = np.flatnonzero(dist[:, k - 1] == dist[:, k])
+    if tied.size:
+        # every column within a tied row's k-th distance is a candidate;
+        # nonzero lists them by (row, index) and lexsort is stable, so
+        # sorted by (row, distance) a row's first k candidates are its
+        # neighbors, with ties at the k-th distance going to the lower index
+        sub = d2[tied]
+        row, col = np.nonzero(sub <= dist[tied, k - 1 : k])
+        col = col[np.lexsort((sub[row, col], row))]
+        first = np.searchsorted(row, np.arange(tied.size))
+        near[tied] = col[first[:, None] + np.arange(k)]
+    return near
 
 
 def riesz_refine(
@@ -314,7 +333,13 @@ def riesz_refine(
     repulsion sum g_i = s * sum_k (x_i - x_j) / |x_i - x_j|^(s+2) over the
     cached nearest neighbors, then steps along g_i / |g_i| scaled by the
     current nearest-neighbor distance over (t + offset), and re-normalizes.
-    Neighbor indices refresh every ``refresh_period`` iterations.
+    Neighbor indices refresh every ``refresh_period`` iterations.  The
+    iterate is kept component-major, (3, N) with the neighbors as (k, N),
+    so every step is a few whole-row passes; sums over the three components
+    go (c0 + c1) + c2 and sums over the neighbors go in neighbor order.
+
+    Raises :class:`DomainError` naming a coincident pair when a point's
+    nearest neighbor is at distance 0: the repulsion has no direction there.
 
     ``history_metric`` maps a PointSet to the per-iteration history value;
     the default is the bounded-kernel mean-pair score used by the node-set
@@ -325,28 +350,33 @@ def riesz_refine(
         raise DomainError("k_neighbors must be smaller than the point count")
     if history_metric is None:
         history_metric = _default_history_metric
-    x = pts.points.copy()
+    x = np.ascontiguousarray(pts.points.T)
     s = params.riesz_s
     history: list[float] = []
     neighbors = None
     for t in range(params.iterations):
         if t % params.refresh_period == 0:
-            neighbors = knn_indices(PointSet(x), params.k_neighbors)
-        diff = x[:, None, :] - x[neighbors]  # (N, k, 3)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
+            neighbors = knn_indices(PointSet(x.T), params.k_neighbors).T.copy()
+        diff = [xc - xc[neighbors] for xc in x]  # each (k, N)
+        dist = np.sqrt((diff[0] * diff[0] + diff[1] * diff[1]) + diff[2] * diff[2])
+        delta = np.min(dist, axis=0)
+        if not delta.all():
+            i = int(np.flatnonzero(delta == 0.0)[0])
+            j = int(neighbors[np.flatnonzero(dist[:, i] == 0.0)[0], i])
+            raise DomainError(f"coincident points at indices {min(i, j)} and {max(i, j)}")
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = s * np.sum(diff / (dist ** (s + 2.0))[:, :, None], axis=1)
-        g_norm = np.sqrt(np.sum(g * g, axis=1))
-        delta = np.min(dist, axis=1)
+            w = dist ** (s + 2.0)
+            g = [s * np.sum(dc / w, axis=0) for dc in diff]
+        g_norm = np.sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2])
         ok = (g_norm > 0.0) & np.isfinite(g_norm)
         step = np.zeros_like(g_norm)
         step[ok] = delta[ok] / (t + params.offset) / g_norm[ok]
-        x = x + step[:, None] * g
-        x /= np.sqrt(np.sum(x * x, axis=1))[:, None]
+        x = np.stack([xc + step * gc for xc, gc in zip(x, g)])
+        x /= np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
         if history_metric is not False:
-            history.append(history_metric(PointSet(x)))
+            history.append(history_metric(PointSet(x.T)))
     refined = PointSet(
-        x, seed=pts.seed, provenance=f"riesz_refine:s={params.riesz_s:g}"
+        x.T, seed=pts.seed, provenance=f"riesz_refine:s={params.riesz_s:g}"
     )
     return refined, history
 

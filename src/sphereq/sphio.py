@@ -74,6 +74,8 @@ def read_pointset(path) -> PointSet:
             vec = [float(part) for part in parts]
         except ValueError:
             raise PointSetFormatError("field is not a number", line=lineno)
+        if not all(math.isfinite(v) for v in vec):
+            raise PointSetValidationError(f"line {lineno}: coordinates must be finite")
         norm = math.sqrt(sum(v * v for v in vec))
         if abs(norm - 1.0) > _NORM_TOLERANCE:
             raise PointSetValidationError(

@@ -579,3 +579,76 @@ def test_series_report_fields():
     assert payload["m"] == 1
     assert isinstance(report, DiscrepancyReport)
     assert report.tail_estimate is not None
+
+
+# --- dot builder and unchecked measure path ---------------------------------------
+
+def _explicit_dots(block, pts):
+    a, b = block, pts
+    t = (a[:, 0][:, None] * b[:, 0] + a[:, 1][:, None] * b[:, 1]) + a[:, 2][:, None] * b[:, 2]
+    return np.clip(t, -1.0, 1.0)
+
+
+def _unit_rows(n, seed):
+    p = np.random.default_rng(seed).standard_normal((n, 3))
+    return p / np.sqrt(np.sum(p * p, axis=1))[:, None]
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 1), (1, 7), (9, 1), (29, 86), (998 - 960, 64), (1, 8192), (64, 998)]
+)
+def test_dot_rows_equal_explicit_three_term_products(m, n):
+    # one einsum contraction must round as the three products added left to
+    # right; a build whose einsum fused the multiply and add would fail here
+    a, b = _unit_rows(m, m), _unit_rows(n, n + 1)
+    expect = _explicit_dots(a, b).view(np.uint64)
+    assert np.array_equal(discrepancy._dot_rows(a, b).view(np.uint64), expect)
+    # strided and Fortran-ordered inputs
+    wide_a, wide_b = np.repeat(a, 2, axis=0), np.hstack([b, b])
+    got = discrepancy._dot_rows(wide_a[::2], np.asfortranarray(wide_b[:, :3]))
+    assert np.array_equal(got.view(np.uint64), expect)
+    # out as a slice of a larger buffer, strided or flat
+    big = np.full((m + 3, n + 5), np.nan)
+    discrepancy._dot_rows(a, b, out=big[1 : m + 1, 2 : n + 2])
+    assert np.array_equal(big[1 : m + 1, 2 : n + 2].view(np.uint64), expect)
+    assert np.isnan(big[0]).all() and np.isnan(big[:, :2]).all()
+    flat = np.full(m * n + 11, np.nan)
+    discrepancy._dot_rows(a, b, out=flat[: m * n].reshape(m, n))
+    assert np.array_equal(flat[: m * n].reshape(m, n).view(np.uint64), expect)
+    assert np.isnan(flat[m * n :]).all()
+
+
+def test_single_dot_equals_the_explicit_product():
+    # a 1 x 1 output takes another einsum loop, which rounds some pairs
+    # differently, so it is formed apart; one node meets one node in the
+    # first polish step of a greedy run
+    a, b = _unit_rows(200, 7), _unit_rows(200, 8)
+    for x, y in zip(a, b):
+        got = discrepancy._dot_rows(x[None, :], y[None, :])
+        expect = _explicit_dots(x[None, :], y[None, :])
+        assert got.view(np.uint64)[0, 0] == expect.view(np.uint64)[0, 0]
+
+
+@pytest.mark.parametrize("spec", [CF, KernelSpec("cui-freeden", m=1), KernelSpec("gine")])
+@pytest.mark.parametrize("n_mu, n_om", [(1, 1), (5, 3), (150, 70)])
+def test_measure_inner_product_matches_the_kernel_eval_path(spec, n_mu, n_om):
+    rng = np.random.default_rng(n_mu + n_om)
+    pa, pb = _unit_rows(n_mu, 3 * n_mu), _unit_rows(n_om, 5 * n_om)
+    wa, wb = rng.standard_normal(n_mu), rng.standard_normal(n_om)
+    partials = []
+    for i0 in range(0, n_mu, 64):
+        i1 = min(i0 + 64, n_mu)
+        k = kernel_eval(spec, _explicit_dots(pa[i0:i1], pb))
+        partials.append(block_sum(k * (wa[i0:i1][:, None] * wb[None, :])))
+    got = measure_inner_product(
+        WeightedMeasure(PointSet(pa), wa), WeightedMeasure(PointSet(pb), wb), spec
+    )
+    assert got == neumaier_sum(partials)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pointset_rejects_non_finite_coordinates(bad):
+    p = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    p[0, 1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        PointSet(p)

@@ -288,3 +288,22 @@ def test_cli_unknown_kernel(tmp_path):
     pts_path = tmp_path / "pts.csv"
     write_pointset(pts_path, tetrahedron())
     assert main(["score", str(pts_path), "--kernel", "mystery"]) == 2
+
+
+def test_non_finite_coordinates_are_rejected_with_their_line(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("x,y,z\n0,0,1\nnan,0,0\n")
+    with pytest.raises(PointSetValidationError, match="line 3"):
+        read_pointset(path)
+    assert main(["score", str(path), "--kernel", "cui-freeden"]) == 4
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_cli_refine_with_a_repeated_point_exits_2(tmp_path, capsys):
+    p = random_unit_points(7, seed=3).points.copy()
+    p[6] = p[1]
+    src, out = tmp_path / "dup.csv", tmp_path / "out.csv"
+    write_pointset(src, PointSet(p))
+    assert main(["refine", str(src), "--knn", "3", "--iters", "3", "--out", str(out)]) == 2
+    assert "coincident points at indices 1 and 6" in capsys.readouterr().err
+    assert not out.exists()

@@ -504,3 +504,76 @@ def test_refine_param_validation():
     pts = random_unit_points(5, seed=1)
     with pytest.raises(DomainError):
         riesz_refine(pts, RefineParams(k_neighbors=7, iterations=5))
+
+
+# --- component-major refine and the k-NN selection -------------------------------
+
+def _knn_oracle(p, k):
+    d2 = np.maximum(0.0, 2.0 - 2.0 * (p[:, 0][:, None] * p[:, 0][None, :]
+                                      + p[:, 1][:, None] * p[:, 1][None, :]
+                                      + p[:, 2][:, None] * p[:, 2][None, :]))
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _refine_oracle(pts, params):
+    # the point-major (N, k, 3) loop with full-matrix neighbors
+    x = pts.points.copy()
+    s = params.riesz_s
+    for t in range(params.iterations):
+        if t % params.refresh_period == 0:
+            neighbors = _knn_oracle(x, params.k_neighbors)
+        diff = x[:, None, :] - x[neighbors]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        g = s * np.sum(diff / (dist ** (s + 2.0))[:, :, None], axis=1)
+        g_norm = np.sqrt(np.sum(g * g, axis=1))
+        delta = np.min(dist, axis=1)
+        ok = (g_norm > 0.0) & np.isfinite(g_norm)
+        step = np.zeros_like(g_norm)
+        step[ok] = delta[ok] / (t + params.offset) / g_norm[ok]
+        x = x + step[:, None] * g
+        x /= np.sqrt(np.sum(x * x, axis=1))[:, None]
+    return x
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (13, 1), (13, 12), (206, 1), (206, 12)])
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_refine_equals_the_point_major_loop(n, k, s):
+    pts = random_unit_points(n, seed=n + k)
+    params = RefineParams(k_neighbors=k, iterations=35, riesz_s=s)
+    out, _ = riesz_refine(pts, params, history_metric=False)
+    assert out.points.tobytes() == _refine_oracle(pts, params).tobytes()
+
+
+@st.composite
+def _knn_cases(draw):
+    if draw(st.booleans()):
+        p = random_unit_points(draw(st.integers(2, 300)), seed=draw(st.integers(0, 999))).points
+    else:
+        p = _rings(draw(st.integers(1, 8)), draw(st.integers(2, 40))).points
+    p = p.copy()
+    n = len(p)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=6)):
+        p[dst] = p[src]  # planted exact duplicates
+    return p, draw(st.integers(1, min(20, n - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_knn_cases())
+def test_knn_equals_a_full_matrix_stable_argsort(case):
+    p, k = case
+    np.testing.assert_array_equal(knn_indices(PointSet(p), k), _knn_oracle(p, k))
+
+
+@pytest.mark.parametrize("k", [0, -1, -25])
+def test_knn_rejects_a_non_positive_k(k):
+    with pytest.raises(DomainError, match="positive"):
+        knn_indices(random_unit_points(10, seed=1), k)
+
+
+def test_refine_names_a_coincident_pair():
+    p = random_unit_points(7, seed=3).points.copy()
+    p[5] = p[2]
+    with pytest.raises(DomainError, match="coincident points at indices 2 and 5"):
+        riesz_refine(PointSet(p), RefineParams(k_neighbors=3, iterations=3))
