@@ -14,15 +14,15 @@ so reports are bit-identical from run to run.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
 A block of 64 rows i0:i1 builds the dots for the columns j >= i0 with one
-``einsum`` contraction (:func:`_dot_block`, which the greedy polish and the
-k-NN scan share) in the reused block buffers of :mod:`sphereq.summation`,
-scans them for coincident pairs when the kernel is singular there, maps
-them in place to the half-chord u = sqrt((1 - t)/2) and evaluates the
-kernel over u in place; its partial is the sum of the diagonal tile plus
-twice the sum of the tile to its right.  That is exact in structure: the
-three-term dot gives t_ij == t_ji bit for bit.  The blocks run one after
-another on the calling thread, so a block allocates no block-sized float
-array.
+``einsum`` contraction (:func:`_dot_block`, which the greedy polish, the
+grid update and the k-NN scan share) in a prefix of one buffer that the
+call allocates, scans them for coincident pairs when the kernel is singular
+there, maps them in place to the half-chord u = sqrt((1 - t)/2) and
+evaluates the kernel over u in place; its partial is the sum of the
+diagonal tile plus twice the sum of the tile to its right.  That is exact
+in structure: the three-term dot gives t_ij == t_ji bit for bit.  The
+blocks run in order on the calling thread, so the first block that finds a
+coincident pair raises, and the partials merge in block order.
 
 The series score rests on one quantity, the Legendre power sums
 S_n = sum_ij P_n(x_i . x_j) for n = 0..n_max.  Every derivative order is a
@@ -57,7 +57,7 @@ from .kernels import (
     is_singular_at_coincidence,
 )
 from .legendre import derivative_recurrence
-from .summation import block_buffers, block_sum, blocked_pair_reduce, neumaier_sum
+from .summation import block_sum, neumaier_sum
 
 INCLUDE = "include"
 EXCLUDE = "exclude"
@@ -199,14 +199,16 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
             spec.name, "singular at coincidence; the diagonal must be excluded"
         )
     p = pts.points
+    n = len(p)
     exclude = diagonal_policy == EXCLUDE
+    buf = np.empty(n * min(n, 64))
 
     def row_block(i0: int, i1: int) -> float:
         b = i1 - i0
         d = np.arange(b)
         # rows j >= i0, columns i0 <= i < i1: the diagonal tile, then the
         # tile to its right in the full matrix
-        u = _dot_rows(p[i0:], p[i0:i1], block_buffers(len(p) - i0, b)[0])
+        u = _dot_rows(p[i0:], p[i0:i1], buf[: (n - i0) * b].reshape(n - i0, b))
         # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
         # the half-chord sqrt amplifying last-bit norm rounding
         u[d, d] = 0.0 if exclude else 1.0
@@ -215,7 +217,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
             if hit.any():
                 # the first row-major hit of the full matrix has i < j and t
                 # is symmetric, so the upper triangle holds that same hit;
-                # the reduction raises the error of the earliest block
+                # the blocks run in order, so the earliest block raises
                 i, j = (int(x) + i0 for x in np.argwhere(hit.T)[0])
                 raise SingularKernelError(
                     spec.name,
@@ -228,7 +230,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
             k[d, d] = 0.0
         return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
 
-    return blocked_pair_reduce(len(pts), row_block)
+    return neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)])
 
 
 def rms_discrepancy(
@@ -440,13 +442,14 @@ def measure_inner_product(
         )
     pa, pb = mu.points.points, omega.points.points
     wa, wb = mu.weights, omega.weights
+    n = pa.shape[0]
 
     def row_block(i0: int, i1: int) -> float:
         # the clipped dots are in range, so only the singularity checks remain
         k = _kernel_eval_u(spec, _half_chords(_dot_rows(pa[i0:i1], pb)))
         return block_sum(k * (wa[i0:i1][:, None] * wb[None, :]))
 
-    return blocked_pair_reduce(pa.shape[0], row_block)
+    return neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)])
 
 
 def signed_discrepancy(

@@ -113,10 +113,10 @@ def _checked_y(centers, y, epsilon, sigma) -> np.ndarray:
 
     ``epsilon`` None skips the shape check, for a sweep that checks its grid.
     """
-    if epsilon is not None and not epsilon > 0.0:
-        raise DomainError("shape parameter must be positive")
-    if not sigma >= 0.0:
-        raise DomainError("smoothing parameter must be non-negative")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise DomainError("shape parameter must be positive and finite")
+    if not 0.0 <= sigma < math.inf:
+        raise DomainError("smoothing parameter must be non-negative and finite")
     y = np.asarray(y, dtype=float).ravel()
     if y.size != len(centers):
         raise DomainError("one observation per center required")
@@ -287,8 +287,8 @@ def epsilon_sweep(
 ) -> SweepReport:
     """Grid-minimize the LOOCV mean square error over the shape parameter."""
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or not all(e > 0.0 for e in eps_grid):
-        raise DomainError("epsilon grid must be non-empty and positive")
+    if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
+        raise DomainError("epsilon grid must be non-empty and positive, with finite values")
     y = _checked_y(centers, y, None, sigma)
     try:
         r, p = _geometry(centers, poly_degree)

@@ -65,6 +65,8 @@ class KernelSpec:
         if self.family == "riesz":
             if self.s is None:
                 raise DomainError("riesz kernel requires the exponent s")
+            if not math.isfinite(self.s):
+                raise DomainError("riesz exponent s must be finite")
             if self.shifted and self.s >= 2:
                 raise CapabilityError("shifted riesz form requires s < 2")
         elif self.s is not None:

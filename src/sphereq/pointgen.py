@@ -12,17 +12,17 @@ Three generators:
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.  The iterate is kept
   component-major, so a step is a few whole-row passes.  The k-NN scan
-  goes in row blocks through the reused block buffers of
-  :mod:`sphereq.summation`: the squared chords come from the dot
-  contraction of the pair sums, each row's k + 1 nearest from
-  ``argpartition``, and only rows that tie at the k-th distance are
-  scanned again.
+  goes in row blocks, each in a prefix of one buffer per scan: the squared
+  chords come from the dot contraction of the pair sums, each row's k + 1
+  nearest from ``argpartition``, and only rows that tie at the k-th
+  distance are scanned again.
 
 Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
-polish and the grid update evaluate the kernel on half-chords they form
-themselves, exactly as :func:`~sphereq.kernels.kernel_eval` forms them, so
-they skip its range checks and give its values bit for bit.
+polish and the grid update take their dots from the builder of the pair
+sums and evaluate the kernel on half-chords they form themselves, exactly
+as :func:`~sphereq.kernels.kernel_eval` forms them, so they skip its range
+checks and give its values bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .kernels import (
     _t_derivative_u,
     is_singular_at_coincidence,
 )
-from .summation import block_buffers, blocked_map
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -70,10 +69,10 @@ class RefineParams:
             raise DomainError("k_neighbors must be positive")
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
-        if self.riesz_s <= 0:
-            raise DomainError("riesz exponent must be positive")
-        if self.offset <= 0:
-            raise DomainError("step offset must be positive")
+        if not 0.0 < self.riesz_s < math.inf:
+            raise DomainError("riesz exponent must be positive and finite")
+        if not 0.0 < self.offset < math.inf:
+            raise DomainError("step offset must be positive and finite")
         if self.refresh_period < 1:
             raise DomainError("refresh period must be positive")
 
@@ -90,6 +89,8 @@ def random_unit_points(n: int, seed: int) -> PointSet:
     """n independent uniform points: normalized standard-normal triples."""
     if n < 1:
         raise DomainError("need at least one point")
+    if seed < 0:
+        raise DomainError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, 3))
     norms = np.sqrt(np.sum(pts * pts, axis=1))
@@ -116,12 +117,6 @@ def candidate_grid(m: int) -> CandidateGrid:
 def greedy_initial(seed: int):
     """Seeded random first node (one normalized Gaussian draw)."""
     return random_unit_points(1, seed).points[0]
-
-
-def _dots(pts: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    return np.clip(
-        pts[:, 0] * eta[0] + pts[:, 1] * eta[1] + pts[:, 2] * eta[2], -1.0, 1.0
-    )
 
 
 def _half_chord_kernel(
@@ -223,7 +218,8 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
 def _grid_kernel(spec: KernelSpec, grid_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K(grid . x) for every candidate; +inf where a singular K meets x."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _half_chord_kernel(spec, _dots(grid_pts, x), _COINCIDENCE_T)
+        t = _dot_rows(x[None, :], grid_pts)[0]
+        return _half_chord_kernel(spec, t, _COINCIDENCE_T)
 
 
 def _grid_scores(
@@ -277,9 +273,8 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
 
     Brute-force O(N^2) scan with a partial sort per row; ties break toward
     the lower index, also at the k-th distance; a point is never its own
-    neighbor.  Rows go in blocks of KNN_ROWS through
-    :func:`sphereq.summation.blocked_map`, each block's squared chords in
-    that module's reused block buffer, so no N x N array is made.
+    neighbor.  Rows go in blocks of KNN_ROWS, each block's squared chords
+    in a prefix of one buffer, so no N x N array is made.
     """
     n = len(pts)
     if k < 1:
@@ -287,15 +282,17 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
     if k >= n:
         raise DomainError("k must be smaller than the number of points")
     p = np.ascontiguousarray(pts.points.T)
+    rows = KNN_ROWS
+    buf = np.empty(min(n, rows) * n)
     return np.concatenate(
-        blocked_map(n, lambda i0, i1: _knn_rows(p, i0, i1, k), KNN_ROWS)
+        [_knn_rows(p, i, min(i + rows, n), k, buf) for i in range(0, n, rows)]
     )
 
 
-def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int) -> np.ndarray:
-    # p is the (3, N) component-major point array
+def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int, buf: np.ndarray) -> np.ndarray:
+    # p is the (3, N) component-major point array; buf holds the block
     rows = i1 - i0
-    d2, _ = block_buffers(rows, p.shape[1])
+    d2 = buf[: rows * p.shape[1]].reshape(rows, p.shape[1])
     # squared chord 2 - 2 q . p, unclipped
     _dot_block(np.ascontiguousarray(p[:, i0:i1]), p, d2)
     d2 *= 2.0

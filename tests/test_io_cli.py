@@ -138,15 +138,14 @@ def test_cli_score_series(tmp_path, capsys):
     assert payload["n_max"] == 500
 
 
-def test_cli_series_score_thread_independent(tmp_path, monkeypatch):
+def test_cli_series_score_thread_independent(tmp_path):
     # N = 160 > n_max = 90: the spectral route, which table-1 determinism
-    # (N = 15 and 43, the Gram route) does not reach
+    # (N = 15 and 43, the Gram route) does not reach; a repeat-run check
     pts_path = tmp_path / "pts.csv"
     write_pointset(pts_path, random_unit_points(160, seed=8))
     for m in ("0", "1", "2"):
         outputs = []
-        for threads in ("1", "4", "1"):
-            monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
+        for _ in range(3):
             out = tmp_path / f"score_{m}_{len(outputs)}.json"
             assert main(["score", str(pts_path), "--kernel", "pycke", "--nmax", "90",
                          "--m", m, "--out", str(out)]) == 0
@@ -186,20 +185,17 @@ def test_cli_refine_history_sits_beside_the_output(out, history, tmp_path, monke
     assert (tmp_path / history).read_text().startswith("iteration,discrepancy\n")
 
 @pytest.mark.parametrize("n, iters", [(206, 200), (998, 30)])
-def test_cli_refine_is_byte_identical_across_thread_counts(
-    n, iters, tmp_path, monkeypatch
-):
-    # k-NN refreshes and history pair sums split their row blocks over the
-    # worker lanes; N=998 spans 16 blocks of 64 rows
-    outputs = {}
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
-        out = tmp_path / f"refined_{threads}.csv"
+def test_cli_refine_is_byte_identical_across_thread_counts(n, iters, tmp_path):
+    # a repeat-run check of the k-NN refreshes and the history pair sums;
+    # N=998 spans 16 blocks of 64 rows
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"refined_{run}.csv"
         assert main(["refine", "--n", str(n), "--seed", "1", "--iters", str(iters),
                      "--out", str(out)]) == 0
-        hist = tmp_path / f"refined_{threads}_history.csv"
-        outputs[threads] = (out.read_bytes(), hist.read_bytes())
-    assert outputs["1"] == outputs["2"] == outputs["4"]
+        hist = tmp_path / f"refined_{run}_history.csv"
+        outputs.append((out.read_bytes(), hist.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_convert_round_trip(tmp_path):
@@ -267,7 +263,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["score", str(bad)]) == 4
 
 
-@pytest.mark.parametrize("epsilon", ["1:2", "1:2:3:4", "a,b", "1:x:0.5", "nan:2:1", "1:inf:1"])
+@pytest.mark.parametrize(
+    "epsilon", ["1:2", "1:2:3:4", "a,b", "1:x:0.5", "nan:2:1", "1:inf:1", "1,inf", "inf"]
+)
 def test_cli_sweep_rejects_a_malformed_epsilon_grid(epsilon, tmp_path, capsys):
     pts_path = tmp_path / "centers.csv"
     write_pointset(pts_path, random_unit_points(14, seed=4))
@@ -281,6 +279,68 @@ def test_cli_tables_reject_a_malformed_seed_list(table, seeds, tmp_path, capsys)
     out = tmp_path / "table.csv"
     assert main([table, "--seed", seeds, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: seed list")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kernel", "riesz:s=nan"],
+        ["--kernel", "riesz:s=inf"],
+        ["--kernel", "riesz:s=-inf"],
+        ["--kernel", "riesz:s=nan", "--nmax", "10"],
+    ],
+)
+def test_cli_score_rejects_a_non_finite_riesz_exponent(argv, tmp_path, capsys):
+    pts_path = tmp_path / "oct.csv"
+    write_pointset(pts_path, PointSet(np.vstack([np.eye(3), -np.eye(3)])))
+    assert main(["score", str(pts_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: riesz exponent s must be finite")
+
+
+@pytest.mark.parametrize("command", ["generate", "refine", "interpolate", "sweep"])
+def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, "--n", "5", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--riesz-s", "nan", "riesz exponent"),
+        ("--riesz-s", "inf", "riesz exponent"),
+        ("--offset", "nan", "step offset"),
+        ("--offset", "inf", "step offset"),
+    ],
+)
+def test_cli_refine_rejects_a_non_finite_parameter(option, value, message, tmp_path, capsys):
+    out = tmp_path / "refined.csv"
+    assert main(["refine", "--n", "20", "--seed", "1", "--iters", "2", "--knn", "4",
+                 option, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message} must be positive and finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("interpolate", "--sigma", "inf", "smoothing parameter"),
+        ("interpolate", "--sigma", "nan", "smoothing parameter"),
+        ("interpolate", "--epsilon", "inf", "shape parameter"),
+        ("interpolate", "--epsilon", "nan", "shape parameter"),
+        ("sweep", "--sigma", "inf", "smoothing parameter"),
+    ],
+)
+def test_cli_fits_reject_a_non_finite_parameter(command, option, value, message, tmp_path, capsys):
+    pts_path = tmp_path / "centers.csv"
+    write_pointset(pts_path, random_unit_points(14, seed=4))
+    out = tmp_path / "out.json"
+    assert main([command, str(pts_path), option, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 

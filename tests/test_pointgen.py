@@ -37,9 +37,16 @@ CF = KernelSpec("cui-freeden")
 PYCKE = KernelSpec("pycke")
 
 
+def _dots(pts, eta):
+    """Clipped dots pts[i] . eta, the explicit three-term product."""
+    return np.clip(
+        (pts[:, 0] * eta[0] + pts[:, 1] * eta[1]) + pts[:, 2] * eta[2], -1.0, 1.0
+    )
+
+
 def _objective_oracle(pts, spec, eta):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = kernel_eval(spec, pointgen._dots(pts, eta))
+        vals = kernel_eval(spec, _dots(pts, eta))
     return float(np.sum(vals))
 
 
@@ -47,7 +54,7 @@ def _polish_oracle(eta, pts, spec, step0, tol=1e-10, max_iter=200):
     """Reference polish: one objective evaluation per backtracking trial."""
     f = _objective_oracle(pts, spec, eta)
     for _ in range(max_iter):
-        t = pointgen._dots(pts, eta)
+        t = _dots(pts, eta)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dk = np.atleast_1d(kernel_t_derivative(spec, t))
         grad = np.sum(dk[:, None] * pts, axis=0)
@@ -193,7 +200,7 @@ def test_polish_rejects_trial_on_a_node(name):
     b /= math.sqrt(float(np.dot(b, b)))
     a = np.array([0.0625, 0.0, 1.0]) / math.sqrt(0.0625**2 + 1.0)
     nodes = np.array([a, b])
-    assert pointgen._dots(nodes, b)[1] == 1.0
+    assert _dots(nodes, b)[1] == 1.0
     out = pointgen._polish(eta, nodes, parse_kernel(name), 0.25)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     assert np.max(nodes @ out) < _COINCIDENCE_T
@@ -216,7 +223,7 @@ def test_polish_passes_over_one_trial_on_a_node(name):
     c = np.array([-0.52, 0.0, 1.0]) / math.sqrt(0.52**2 + 1.0)
     nodes = np.array([a, b, c])
     trials = [trial(0.5 * 0.5**j) for j in range(33)]  # every step > 1e-10
-    on_a_node = [np.any(pointgen._dots(nodes, x) == 1.0) for x in trials]
+    on_a_node = [np.any(_dots(nodes, x) == 1.0) for x in trials]
     assert on_a_node == [j == 1 for j in range(33)]
     spec = parse_kernel(name)
     first = pointgen._polish(eta, nodes, spec, 0.5, max_iter=1)
@@ -294,7 +301,7 @@ def test_grid_update_matches_a_kernel_eval_grid_sum(name):
     xs = [grid[7], near / np.linalg.norm(near), random_unit_points(1, 5).points[0]]
     got, want = np.zeros(len(grid)), np.zeros(len(grid))
     for x in xs:
-        t = pointgen._dots(grid, x)
+        t = _dots(grid, x)
         hit = t >= _COINCIDENCE_T if is_singular_at_coincidence(spec) else t > 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             vals = kernel_eval(spec, np.where(hit, 0.0, t))
@@ -306,7 +313,7 @@ def test_grid_update_matches_a_kernel_eval_grid_sum(name):
     # an antipodal candidate still raises where kernel_eval raises
     if spec.family == "ajne":
         with pytest.raises(SingularKernelError):
-            kernel_eval(spec, pointgen._dots(grid, -grid[7]))
+            kernel_eval(spec, _dots(grid, -grid[7]))
         with pytest.raises(SingularKernelError):
             pointgen._grid_kernel(spec, grid, -grid[7])
 
@@ -429,15 +436,12 @@ def test_knn_row_blocks_match_full_matrix(pts, rows, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [206, 998])
-def test_knn_is_identical_across_thread_counts(n, monkeypatch):
+def test_knn_is_identical_across_thread_counts(n):
+    # a plain repeat-run check: the scan runs on the calling thread
     pts = random_unit_points(n, seed=n)
-    got = {}
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("SPHERE_EQ_THREADS", threads)
-        got[threads] = knn_indices(pts, 12)
-    assert got["1"].shape == (n, 12) and got["1"].dtype == np.intp
-    np.testing.assert_array_equal(got["1"], got["2"])
-    np.testing.assert_array_equal(got["1"], got["4"])
+    first, again = knn_indices(pts, 12), knn_indices(pts, 12)
+    assert first.shape == (n, 12) and first.dtype == np.intp
+    assert first.tobytes() == again.tobytes()
 
 
 def test_knn_k_too_large():
