@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, SingularKernelError
+from .errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from .kernels import (
     KernelSpec,
     SymbolSequence,
@@ -190,6 +190,18 @@ def pair_dot_matrix(pts: PointSet) -> np.ndarray:
     return t
 
 
+def _finite(total: float) -> float:
+    """``total`` itself, unless a kernel sum overflowed.
+
+    An overflowed kernel value makes the compensated sum NaN, and
+    ``max(0.0, nan)`` is 0.0, so an unchecked NaN would score as a perfect
+    point set.
+    """
+    if not math.isfinite(total):
+        raise ConditioningError(f"kernel sum is not finite ({total!r})")
+    return total
+
+
 def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> float:
     if diagonal_policy not in (INCLUDE, EXCLUDE):
         raise DomainError(f"unknown diagonal policy {diagonal_policy!r}")
@@ -230,7 +242,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
             k[d, d] = 0.0
         return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
 
-    return neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)])
+    return _finite(neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)]))
 
 
 def rms_discrepancy(
@@ -360,7 +372,7 @@ def _series_report(
         tail = 0.0
         flags.append("empty_sum")
     else:
-        total = neumaier_sum(terms)
+        total = _finite(neumaier_sum(terms))
         tail = abs(terms[-1])
         tail_block = abs(neumaier_sum(terms[-max(1, len(terms) // 10) :]))
         if tail_block > 1e-3 * max(1.0, abs(total)):
@@ -449,7 +461,7 @@ def measure_inner_product(
         k = _kernel_eval_u(spec, _half_chords(_dot_rows(pa[i0:i1], pb)))
         return block_sum(k * (wa[i0:i1][:, None] * wb[None, :]))
 
-    return neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)])
+    return _finite(neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)]))
 
 
 def signed_discrepancy(
@@ -461,4 +473,4 @@ def signed_discrepancy(
         + measure_inner_product(omega, omega, spec)
         - 2.0 * measure_inner_product(mu, omega, spec)
     )
-    return math.sqrt(max(0.0, q))
+    return math.sqrt(max(0.0, _finite(q)))

@@ -23,7 +23,7 @@ class SingularKernelError(ValueError):
 
 
 class ConditioningError(RuntimeError):
-    """A linear solve failed or is numerically untrustworthy."""
+    """A linear solve or a kernel sum failed or is numerically untrustworthy."""
 
     def __init__(self, message: str, condition_estimate: float | None = None):
         self.condition_estimate = condition_estimate

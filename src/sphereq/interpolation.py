@@ -8,10 +8,13 @@ fitted through the symmetric saddle system G = [[K + sigma^2 I, P], [P^T, 0]]
 with the side condition P^T w = 0.  The shape parameter enters as K(eps*r)
 in the chordal convention.  Leave-one-out cross-validation comes in two
 flavors: the O(N^4) refit-per-point definition (kept as an oracle) and the
-shortcut e_v = c_v / (G^{-1})_vv.  The shortcut factors the indefinite G once
-as a Bunch-Kaufman LDL^T and takes c, diag(G^{-1}) and an O(N^2) condition
-estimate from that factor.  A shape-parameter sweep computes the distances
-and the tail block once and rebuilds only the kernel block per epsilon.
+shortcut e_v = c_v / (G^{-1})_vv.  The shortcut factors the indefinite G once,
+in place, as a Bunch-Kaufman G = P U D U^T P^T and takes c and an O(N^2)
+condition estimate from that factor.  It never forms G^{-1}: diag(G^{-1}) is
+diag(W^T D^{-1} W) with W = U^{-1} from a blocked triangular inverse, mapped
+back through the interchanges.  A shape-parameter sweep computes the
+distances and the tail block once and rebuilds only the kernel block per
+epsilon.
 Outputs are byte-stable for a fixed OPENBLAS_NUM_THREADS, but not across BLAS
 thread counts: the distance product and LAPACK round differently with more
 threads.  Every fit, LOOCV route and sweep checks its centers, data, shape
@@ -68,11 +71,11 @@ def monomial_basis(points: np.ndarray, degree: int) -> np.ndarray:
     n = points.shape[0]
     if degree < 0:
         return np.zeros((n, 0))
-    cols = []
-    for total in range(degree + 1):
-        for combo in combinations_with_replacement(range(3), total):
-            col = np.ones(n)
-            for axis in combo:
+    cols = [np.ones(n)]
+    for total in range(1, degree + 1):
+        for first, *rest in combinations_with_replacement(range(3), total):
+            col = points[:, first]
+            for axis in rest:
                 col = col * points[:, axis]
             cols.append(col)
     return np.column_stack(cols)
@@ -127,7 +130,7 @@ def _geometry(centers, poly_degree):
     """Chordal distances and monomial block; neither depends on epsilon."""
     pts = centers.points
     r = _chordal(pts, pts)
-    if np.any(r + np.eye(pts.shape[0]) == 0.0):
+    if np.count_nonzero(r == 0.0) > np.count_nonzero(r.diagonal() == 0.0):
         raise DomainError("duplicate interpolation centers")
     return r, monomial_basis(pts, poly_degree)
 
@@ -138,14 +141,14 @@ def _saddle(r, p, spec, epsilon, sigma):
 
     The kernel block is evaluated in place on the half-chords r (eps/2),
     which equal (eps r)/2 bit for bit, so G is the chordal ``kernel_eval``
-    of eps r."""
+    of eps r.  G is Fortran-ordered so that LAPACK can factor it in place."""
     n, m = p.shape
     singular = is_singular_at_coincidence(spec)
     if singular and sigma <= 0.0:
         raise CapabilityError(f"{spec.name} is singular at r=0: fitting requires sigma > 0")
     if epsilon < 0.0 and n > 1:  # r > 0 off the diagonal, so eps r has a negative
         raise DomainError("chordal distance must be non-negative")
-    g, diag = np.empty((n + m, n + m)), np.arange(n)
+    g, diag = np.empty((n + m, n + m), order="F"), np.arange(n)
     block = np.multiply(r, epsilon / 2.0, out=g[:n, :n])
     if singular:
         block[diag, diag] = 0.5  # placeholder argument, overwritten below
@@ -230,19 +233,61 @@ def loocv_errors_slow(
     return errors
 
 
+def _inverse_diagonal(f, ipiv):
+    """diag(A^{-1}) from the upper ``dsytrf`` factor ``f`` of a nonsingular A.
+
+    A = P U D U^T P^T with U unit upper triangular and D block diagonal with
+    1x1 and 2x2 blocks, so A^{-1} = P W^T D^{-1} W P^T with W = U^{-1} and
+    diag(A^{-1}) is P applied to the vector of w_j^T D^{-1} w_j.  ``dsyconv``
+    splits the factor in place and ``dtrtri`` inverts U in place (blocked);
+    ``f`` is destroyed.  D^{-1} is tridiagonal: 1/d on a 1x1 block and
+    [[c, -b], [-b, a]] / (ac - b^2) on a 2x2 block [[a, b], [b, c]].  The
+    quadratic forms are ``einsum`` reductions, not BLAS calls: scipy's
+    OpenBLAS runs ``dtrmv`` threaded even at sizes of a few dozen, where it
+    stalled for milliseconds on a loaded 2-core machine.  P is the row
+    interchanges in the order ``dsytrs2`` applies them: row k with |ipiv_k|
+    for every 1x1 block and for the first row of every 2x2 block.
+    """
+    n = f.shape[0]
+    f, e, _ = lapack.dsyconv(f, ipiv, overwrite_a=1)  # e: superdiagonal of D
+    d = f.diagonal().copy()
+    np.fill_diagonal(f, 1.0)
+    np.copyto(f, 0.0, where=np.tri(n, k=-1, dtype=bool))  # clear what is left of A
+    w = lapack.dtrtri(f, overwrite_c=1)[0]
+    two = e.nonzero()[0]  # second row of each 2x2 block, whose b is never 0
+    one = two - 1
+    a, b, c = d[one], e[two], d[two]
+    det = a * c - b * b
+    num = np.ones(n)  # num / d will be the diagonal of D^{-1}
+    num[one], num[two] = c, a
+    d[one] = d[two] = det
+    q = np.einsum("ij,ij,i->j", w, w, num / d)
+    q -= 2.0 * np.einsum("i,ij,ij->j", b / det, w[one], w[two])
+    swaps = np.abs(ipiv) - 1
+    swaps[two] = two
+    return lapack.dlaswp(q[:, None], swaps, overwrite_a=1)[:, 0]
+
+
 def _loocv(g, y):
     """e_v = c_v / (G^{-1})_vv from one LDL^T factor of the indefinite G (no
-    Cholesky), which also gives the condition estimate; a singular G raises."""
+    Cholesky), which also gives the condition estimate; a singular G raises.
+
+    The Fortran-ordered G from :func:`_saddle` is factored in place and
+    destroyed, so LAPACK copies no N x N matrix.  c comes from ``dsytrs`` and
+    the diagonal from :func:`_inverse_diagonal`, on the same factor.  G is
+    symmetric, so its inf-norm adds the same numbers in the same order as the
+    1-norm of a C-ordered copy, and ``dsycon`` gets the same norm either way."""
     n = y.size
+    anorm = np.linalg.norm(g, np.inf)
     lwork = int(lapack.dsytrf_lwork(g.shape[0])[0])
-    ldu, piv, info = lapack.dsytrf(g, lwork=lwork)
-    rcond = lapack.dsycon(ldu, piv, np.linalg.norm(g, 1))[0] if info == 0 else 0.0
+    ldu, piv, info = lapack.dsytrf(g, lwork=lwork, overwrite_a=1)
+    rcond = lapack.dsycon(ldu, piv, anorm)[0] if info == 0 else 0.0
     if not rcond >= np.finfo(float).eps:
         cond = 1.0 / rcond if rcond else math.inf
         raise ConditioningError("full system is not invertible", condition_estimate=cond)
     rhs = np.concatenate([y, np.zeros(g.shape[0] - n)])
     c = lapack.dsytrs(ldu, piv, rhs[:, None])[0][:n, 0]
-    diag = np.diagonal(lapack.dsytri(ldu, piv)[0])[:n]
+    diag = _inverse_diagonal(ldu, piv)[:n]
     if not (np.all(np.isfinite(c)) and np.all(diag != 0.0)):
         raise ConditioningError("shortcut diagonal is degenerate", condition_estimate=1.0 / rcond)
     return c / diag

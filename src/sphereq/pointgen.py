@@ -336,7 +336,8 @@ def riesz_refine(
     go (c0 + c1) + c2 and sums over the neighbors go in neighbor order.
 
     Raises :class:`DomainError` naming a coincident pair when a point's
-    nearest neighbor is at distance 0: the repulsion has no direction there.
+    nearest neighbor is at distance 0, or so close that |x_i - x_j|^(s+2)
+    underflows to 0: the repulsion has no direction there.
 
     ``history_metric`` maps a PointSet to the per-iteration history value;
     the default is the bounded-kernel mean-pair score used by the node-set
@@ -357,13 +358,16 @@ def riesz_refine(
         diff = [xc - xc[neighbors] for xc in x]  # each (k, N)
         dist = np.sqrt((diff[0] * diff[0] + diff[1] * diff[1]) + diff[2] * diff[2])
         delta = np.min(dist, axis=0)
-        if not delta.all():
-            i = int(np.flatnonzero(delta == 0.0)[0])
-            j = int(neighbors[np.flatnonzero(dist[:, i] == 0.0)[0], i])
-            raise DomainError(f"coincident points at indices {min(i, j)} and {max(i, j)}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = dist ** (s + 2.0)
-            g = [s * np.sum(dc / w, axis=0) for dc in diff]
+        w = dist ** (s + 2.0)
+        if not w.all():
+            i = int(np.flatnonzero(~w.all(axis=0))[0])
+            nearest = np.flatnonzero(w[:, i] == 0.0)[0]
+            j = int(neighbors[nearest, i])
+            pair = f"points at indices {min(i, j)} and {max(i, j)}"
+            if dist[nearest, i] == 0.0:
+                raise DomainError(f"coincident {pair}")
+            raise DomainError(f"nearly coincident {pair}: distance^(s+2) underflows to 0")
+        g = [s * np.sum(dc / w, axis=0) for dc in diff]
         g_norm = np.sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2])
         ok = (g_norm > 0.0) & np.isfinite(g_norm)
         step = np.zeros_like(g_norm)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereq import discrepancy
-from sphereq.errors import CapabilityError, DomainError, SingularKernelError
+from sphereq import discrepancy, tables
+from sphereq.errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from sphereq.kernels import KernelSpec, SymbolSequence, kernel_eval, parse_kernel
 from sphereq.legendre import derivative_recurrence
 from sphereq.summation import block_sum, neumaier_sum
@@ -284,6 +284,26 @@ def test_series_matches_derivative_stack_oracle(n_points):
                 if m == 0 and n_max >= n_points:
                     # the Gram route at m = 0 is the oracle's arithmetic
                     assert (report.value, report.tail_estimate) == (value, tail)
+
+
+def test_an_overflowing_kernel_sum_raises_instead_of_scoring_zero(monkeypatch):
+    # -(2u)^2000 is -inf on the octahedron, and the compensated sum of -inf is
+    # NaN, which max(0, .) used to turn into a perfect score of 0
+    octahedron = PointSet(np.vstack([np.eye(3), -np.eye(3)]))
+    spec = parse_kernel("riesz:s=-2000")
+    for score in (rms_discrepancy, mean_pair_discrepancy):
+        with pytest.raises(ConditioningError, match="kernel sum is not finite"):
+            score(octahedron, spec, INCLUDE)
+    with pytest.raises(ConditioningError, match="kernel sum is not finite"):
+        tables.centered_pair_discrepancy(octahedron, spec)
+    mu = WeightedMeasure(octahedron, np.full(6, 1.0 / 6.0))
+    nu = WeightedMeasure(octahedron, np.arange(1.0, 7.0) / 21.0)
+    with pytest.raises(ConditioningError, match="kernel sum is not finite"):
+        signed_discrepancy(mu, nu, spec)
+    # power sums that overflowed
+    monkeypatch.setattr(discrepancy, "_power_sums", lambda pts, n_max: np.full(n_max + 1, np.inf))
+    with pytest.raises(ConditioningError, match="kernel sum is not finite"):
+        series_generalized_discrepancy(octahedron, "cui-freeden", m=0, n_max=10)
 
 
 def test_series_route_selection(monkeypatch):

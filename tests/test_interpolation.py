@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from sphereq.errors import (
     CapabilityError,
@@ -247,6 +248,46 @@ def test_loocv_fast_matches_explicit_inverse(sigma, degree):
     want = loocv_by_inverse(p, y, 2.5, sigma, degree)
     scale = max(np.max(np.abs(want)), np.max(np.abs(y)))
     assert np.max(np.abs(fast - want)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("epsilon", [2.0, 6.0])
+def test_loocv_fast_matches_explicit_inverse_at_the_sweep_size(epsilon):
+    # the size of the N=1000 sweep, where the factor has 2x2 pivots and the
+    # tail rows trade places with kernel rows far up the matrix
+    p = fibonacci_lattice(1000, seed=5)
+    y = franke_eval(p)
+    g = interpolation._saddle(*interpolation._geometry(PointSet(p), 1), CF, epsilon, 0.1)
+    ipiv = lapack.dsytrf(g)[1]
+    assert np.any(ipiv < 0) and np.min(np.abs(ipiv)) < 400
+    fast = loocv_errors_fast(PointSet(p), y, CF, epsilon, 0.1, 1)
+    want = loocv_by_inverse(p, y, epsilon, 0.1, 1)
+    scale = max(np.max(np.abs(want)), np.max(np.abs(y)))
+    assert np.max(np.abs(fast - want)) <= 1e-9 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    kind=st.sampled_from(["general", "zero diagonal", "positive definite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_diagonal_matches_an_explicit_inverse(n, kind, seed):
+    # a zero diagonal forces 2x2 pivots and row interchanges
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a += a.T
+    if kind == "zero diagonal":
+        np.fill_diagonal(a, 0.0)
+    elif kind == "positive definite":
+        a = a @ a.T + np.eye(n)
+    cond = np.linalg.cond(a)
+    assume(cond < 1e8)
+    inv = np.linalg.inv(a)
+    f = np.array(a, order="F")
+    factor, ipiv, info = lapack.dsytrf(f, lwork=int(lapack.dsytrf_lwork(n)[0]), overwrite_a=1)
+    assert info == 0
+    got = interpolation._inverse_diagonal(factor, ipiv)
+    tol = 16 * np.finfo(float).eps * cond * np.max(np.abs(inv))
+    assert np.max(np.abs(got - np.diagonal(inv))) <= tol
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])

@@ -300,6 +300,16 @@ def test_cli_score_rejects_a_non_finite_riesz_exponent(argv, tmp_path, capsys):
     assert captured.err.startswith("error: riesz exponent s must be finite")
 
 
+@pytest.mark.parametrize("method", ["rms", "mean"])
+def test_cli_score_with_an_overflowing_kernel_exits_3(method, tmp_path, capsys):
+    pts_path = tmp_path / "oct.csv"
+    write_pointset(pts_path, PointSet(np.vstack([np.eye(3), -np.eye(3)])))
+    assert main(["score", str(pts_path), "--kernel", "riesz:s=-2000", "--method", method]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kernel sum is not finite" in captured.err
+
+
 @pytest.mark.parametrize("command", ["generate", "refine", "interpolate", "sweep"])
 def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -581,3 +581,12 @@ def test_refine_names_a_coincident_pair():
     p[5] = p[2]
     with pytest.raises(DomainError, match="coincident points at indices 2 and 5"):
         riesz_refine(PointSet(p), RefineParams(k_neighbors=3, iterations=3))
+
+
+def test_refine_names_a_nearly_coincident_pair():
+    # |x_i - x_j|^(s+2) = (1e-110)^3 underflows to 0; the step used to turn
+    # the pair into NaN
+    p = random_unit_points(5, seed=3).points
+    p = np.vstack([p[:2], [[1.0, 0.0, 0.0]], p[2:], [[1.0, 1e-110, 0.0]]])
+    with pytest.raises(DomainError, match="nearly coincident points at indices 2 and 6"):
+        riesz_refine(PointSet(p), RefineParams(k_neighbors=3, iterations=3), history_metric=False)
