@@ -63,6 +63,8 @@ def _parse_grid(text: str) -> list[float]:
             raise DomainError(
                 "epsilon grid must be start:stop:step, finite, with stop >= start and step > 0"
             )
+        if not (stop - start) / step < 1e6:
+            raise DomainError("epsilon grid must have fewer than a million points")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     return [_number(p, float, "epsilon grid") for p in text.split(",") if p.strip()]

@@ -8,9 +8,10 @@ fitted through the symmetric saddle system G = [[K + sigma^2 I, P], [P^T, 0]]
 with the side condition P^T w = 0.  The shape parameter enters as K(eps*r)
 in the chordal convention.  Leave-one-out cross-validation comes in two
 flavors: the O(N^4) refit-per-point definition (kept as an oracle) and the
-shortcut e_v = c_v / (G^{-1})_vv.  The shortcut factors the indefinite G once,
-in place, as a Bunch-Kaufman G = P U D U^T P^T and takes c and an O(N^2)
-condition estimate from that factor.  It never forms G^{-1}: diag(G^{-1}) is
+shortcut e_v = c_v / (G^{-1})_vv.  Fits and the shortcut share one solve: G
+is factored once, in place, as a Bunch-Kaufman G = P U D U^T P^T, and c and
+an O(N^2) condition estimate, with one rule for ``ConditioningError``, come
+from that factor.  The shortcut never forms G^{-1}: diag(G^{-1}) is
 diag(W^T D^{-1} W) with W = U^{-1} from a blocked triangular inverse, mapped
 back through the interchanges.  A shape-parameter sweep computes the
 distances and the tail block once and rebuilds only the kernel block per
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import CapabilityError, ConditioningError, ConfigurationError, DomainError
@@ -118,8 +118,8 @@ def _checked_y(centers, y, epsilon, sigma) -> np.ndarray:
     """
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise DomainError("shape parameter must be positive and finite")
-    if not 0.0 <= sigma < math.inf:
-        raise DomainError("smoothing parameter must be non-negative and finite")
+    if not (0.0 <= sigma and math.isfinite(sigma * sigma)):  # sigma^2 enters G
+        raise DomainError("smoothing parameter must be non-negative, with a finite square")
     y = np.asarray(y, dtype=float).ravel()
     if y.size != len(centers):
         raise DomainError("one observation per center required")
@@ -141,7 +141,9 @@ def _saddle(r, p, spec, epsilon, sigma):
 
     The kernel block is evaluated in place on the half-chords r (eps/2),
     which equal (eps r)/2 bit for bit, so G is the chordal ``kernel_eval``
-    of eps r.  G is Fortran-ordered so that LAPACK can factor it in place."""
+    of eps r; a singular diagonal is set to its limit after, and
+    :func:`_geometry` refuses zero r off it.  G is Fortran-ordered so that
+    LAPACK can factor it in place."""
     n, m = p.shape
     singular = is_singular_at_coincidence(spec)
     if singular and sigma <= 0.0:
@@ -150,8 +152,6 @@ def _saddle(r, p, spec, epsilon, sigma):
         raise DomainError("chordal distance must be non-negative")
     g, diag = np.empty((n + m, n + m), order="F"), np.arange(n)
     block = np.multiply(r, epsilon / 2.0, out=g[:n, :n])
-    if singular:
-        block[diag, diag] = 0.5  # placeholder argument, overwritten below
     _kernel_eval_u(spec, block, out=block)
     if singular:
         block[diag, diag] = 0.0
@@ -170,21 +170,10 @@ def fit_interpolant(
     sigma: float = 0.0,
     poly_degree: int = 1,
 ) -> InterpolantModel:
-    """Solve the saddle system for the kernel and tail coefficients."""
+    """Solve the saddle system for the kernel and tail coefficients, as LOOCV does."""
     y = _checked_y(centers, y, epsilon, sigma)
     g = _saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma)
-    rhs = np.concatenate([y, np.zeros(g.shape[0] - y.size)])
-    try:
-        coeff = scipy.linalg.solve(g, rhs, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            "saddle system is singular", condition_estimate=float(np.linalg.cond(g))
-        ) from exc
-    if not np.all(np.isfinite(coeff)):
-        raise ConditioningError(
-            "saddle solve produced non-finite coefficients",
-            condition_estimate=float(np.linalg.cond(g)),
-        )
+    coeff = _factor_solve(g, y)[0]
     n = len(centers)
     return InterpolantModel(centers=centers, values=y, spec=spec, epsilon=epsilon, sigma=sigma,
                             poly_degree=poly_degree, w=coeff[:n], b=coeff[n:])
@@ -268,16 +257,15 @@ def _inverse_diagonal(f, ipiv):
     return lapack.dlaswp(q[:, None], swaps, overwrite_a=1)[:, 0]
 
 
-def _loocv(g, y):
-    """e_v = c_v / (G^{-1})_vv from one LDL^T factor of the indefinite G (no
-    Cholesky), which also gives the condition estimate; a singular G raises.
+def _factor_solve(g, y):
+    """(c, ldu, piv): c solves G c = [y; 0] through the LDL^T factor of the
+    indefinite G (no Cholesky); a singular G raises.
 
     The Fortran-ordered G from :func:`_saddle` is factored in place and
-    destroyed, so LAPACK copies no N x N matrix.  c comes from ``dsytrs`` and
-    the diagonal from :func:`_inverse_diagonal`, on the same factor.  G is
-    symmetric, so its inf-norm adds the same numbers in the same order as the
-    1-norm of a C-ordered copy, and ``dsycon`` gets the same norm either way."""
-    n = y.size
+    destroyed, so LAPACK copies no N x N matrix.  A ``dsycon`` reciprocal
+    condition estimate below machine epsilon, or a c that is not finite,
+    raises :class:`ConditioningError`.  G is symmetric, so its inf-norm adds
+    the same numbers in the same order as the 1-norm of a C-ordered copy."""
     anorm = np.linalg.norm(g, np.inf)
     lwork = int(lapack.dsytrf_lwork(g.shape[0])[0])
     ldu, piv, info = lapack.dsytrf(g, lwork=lwork, overwrite_a=1)
@@ -285,12 +273,21 @@ def _loocv(g, y):
     if not rcond >= np.finfo(float).eps:
         cond = 1.0 / rcond if rcond else math.inf
         raise ConditioningError("full system is not invertible", condition_estimate=cond)
-    rhs = np.concatenate([y, np.zeros(g.shape[0] - n)])
-    c = lapack.dsytrs(ldu, piv, rhs[:, None])[0][:n, 0]
+    rhs = np.concatenate([y, np.zeros(g.shape[0] - y.size)])
+    c = lapack.dsytrs(ldu, piv, rhs[:, None])[0][:, 0]
+    if not np.all(np.isfinite(c)):
+        raise ConditioningError("saddle solve is not finite", condition_estimate=1.0 / rcond)
+    return c, ldu, piv
+
+
+def _loocv(g, y):
+    """e_v = c_v / (G^{-1})_vv, both from the one factor of :func:`_factor_solve`."""
+    n = y.size
+    c, ldu, piv = _factor_solve(g, y)
     diag = _inverse_diagonal(ldu, piv)[:n]
-    if not (np.all(np.isfinite(c)) and np.all(diag != 0.0)):
-        raise ConditioningError("shortcut diagonal is degenerate", condition_estimate=1.0 / rcond)
-    return c / diag
+    if not np.all(diag != 0.0):
+        raise ConditioningError("shortcut diagonal is degenerate")
+    return c[:n] / diag
 
 
 def loocv_errors_fast(

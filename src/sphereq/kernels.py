@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
-from .errors import CapabilityError, DomainError, SingularKernelError
+from .errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from .legendre import derivative_recurrence
 
 FAMILIES = ("pycke", "cui-freeden", "gine", "ajne", "riesz")
@@ -151,7 +151,7 @@ def _eval_u(
             f"closed-form evaluation supports m <= {M_CLOSED_MAX} (got m={m})"
         )
     v = np.empty_like(u) if out is None else out
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # +-inf, NaN at u = 0
         if family == "pycke" and m == 0:
             # -(1 + 2 ln u) / 4pi
             np.log(u, out=v)
@@ -285,15 +285,13 @@ def _u_from_r(r: np.ndarray) -> np.ndarray:
 def _kernel_eval_u(
     spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Closed form on a half-chord array u = r/2 >= 0, singularities checked.
+    """Closed form on a half-chord array u = r/2 >= 0, with no u == 0 check.
 
-    The entry point of :func:`kernel_eval` after argument validation, for
-    callers that build ``u`` themselves and so already know it is in range.
-    Raises :class:`SingularKernelError` like :func:`kernel_eval`.  The result
-    goes into ``out`` as in :func:`_eval_u`; ``out=u`` evaluates in place.
+    :func:`kernel_eval` after its range and coincidence checks, for callers
+    that form ``u`` and decide coincidence on their dots.  Raises
+    :class:`SingularKernelError` for a gine or ajne derivative at t = -1.  The
+    result goes into ``out`` as in :func:`_eval_u`; ``out=u`` is in place.
     """
-    if is_singular_at_coincidence(spec) and np.any(u == 0.0):
-        raise SingularKernelError(spec.name, "kernel is singular at coincidence")
     if spec.family in ("gine", "ajne") and spec.m >= 1 and np.any(u >= 1.0):
         raise SingularKernelError(spec.name, "derivative is singular at t = -1")
     return _eval_u(spec, u, out)
@@ -309,6 +307,8 @@ def kernel_eval(spec: KernelSpec, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     u = _u_from_t(arr) if spec.convention == DOT_PRODUCT else _u_from_r(arr)
+    if is_singular_at_coincidence(spec) and np.any(u == 0.0):
+        raise SingularKernelError(spec.name, "kernel is singular at coincidence")
     out = _kernel_eval_u(spec, np.atleast_1d(u))
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
@@ -386,16 +386,20 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
             raise DomainError("riesz symbol requires the exponent s")
         if s == 0.0:
             return n * (n + 1) / _FOUR_PI
-        log_mag = (
-            (s - 2.0) * math.log(2.0)
-            - math.log(math.pi)
-            + gammaln(s / 2.0)
-            - gammaln(1.0 - s / 2.0)
-            + gammaln(n + 2.0 - s / 2.0)
-            - gammaln(n + s / 2.0)
-        )
+        with np.errstate(invalid="ignore"):  # inf - inf at the gamma poles is NaN
+            log_mag = (
+                (s - 2.0) * math.log(2.0)
+                - math.log(math.pi)
+                + gammaln(s / 2.0)
+                - gammaln(1.0 - s / 2.0)
+                + gammaln(n + 2.0 - s / 2.0)
+                - gammaln(n + s / 2.0)
+            )
         sign = gammasgn(s / 2.0) * gammasgn(1.0 - s / 2.0)
-        return float(sign * math.exp(log_mag))
+        try:
+            return float(sign * math.exp(log_mag))
+        except OverflowError:
+            return float(sign * math.inf)
     raise DomainError(f"unknown kernel family {family!r}")
 
 
@@ -413,12 +417,15 @@ class SymbolSequence:
         return self._cache[n]
 
     def series_weights(self, n_max: int) -> np.ndarray:
-        """Weights (2n+1)/(4pi A_n^2) for n = 1..n_max; 0 where absent."""
+        """Weights (2n+1)/(4pi A_n^2) for n = 1..n_max; 0 where absent.  A weight
+        that is not finite (a NaN or zero symbol) raises ConditioningError."""
         w = np.zeros(n_max + 1)
         for n in range(1, n_max + 1):
             a2 = self.value(n)
             if a2 is not None:
-                w[n] = (2 * n + 1) / (_FOUR_PI * a2)
+                w[n] = (2 * n + 1) / (_FOUR_PI * a2) if a2 else math.inf
+                if not math.isfinite(w[n]):
+                    raise ConditioningError(f"{self.family} symbol at degree {n} is {a2!r}")
         return w
 
 

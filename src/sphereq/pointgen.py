@@ -21,8 +21,8 @@ Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
 polish and the grid update take their dots from the builder of the pair
 sums and evaluate the kernel on half-chords they form themselves, exactly
-as :func:`~sphereq.kernels.kernel_eval` forms them, so they skip its range
-checks and give its values bit for bit.
+as :func:`~sphereq.kernels.kernel_eval` forms them; they skip its checks,
+decide coincidence on the dots, and give its values bit for bit.
 """
 
 from __future__ import annotations
@@ -131,19 +131,13 @@ def _half_chord_kernel(
     ``t`` is overwritten with the half-chord u = sqrt((1 - t)/2), formed as
     :func:`kernel_eval` forms it, so the values are its values bit for bit;
     the caller may reuse u.  The result goes into ``out`` (a new array when
-    None), which must not be ``t``.  Coincident entries get a safe argument
-    while the kernel is evaluated and their u back afterwards, so the
-    singularity check of ``_kernel_eval_u`` does not raise.
+    None), which must not be ``t``.  Coincidence is decided here, on t: the
+    kernel is evaluated everywhere and the hits are set to +inf after.
     """
     hit = t >= coincident_t if is_singular_at_coincidence(spec) else None
-    _half_chords(t)
-    if hit is None or not hit.any():
-        return _kernel_eval_u(spec, t, out)
-    held = t[hit]
-    t[hit] = 0.5
-    vals = _kernel_eval_u(spec, t, out)
-    t[hit] = held
-    vals[hit] = np.inf
+    vals = _kernel_eval_u(spec, _half_chords(t), out)
+    if hit is not None:
+        vals[hit] = np.inf
     return vals
 
 
@@ -204,12 +198,14 @@ def _polish(
     return eta
 
 
+@np.errstate(invalid="ignore")  # an overflowed K makes inf - inf, an unusable score
 def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndarray:
     """Next node: grid argmin of the summed kernel, then local polish.
 
     For a kernel singular at coincidence, a grid candidate that coincides
-    with a node (dot product >= 1 - 1e-14) is skipped.  Raises
-    :class:`ConfigurationError` when no candidate remains.
+    with a node (dot product >= 1 - 1e-14) is skipped, and so is one whose
+    summed kernel overflowed.  Raises :class:`ConfigurationError` when no
+    candidate remains.
     """
     scores = _grid_scores(pts.points, spec, grid.points.points)
     return _select_and_polish(pts.points, spec, grid, scores)
@@ -217,9 +213,7 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
 
 def _grid_kernel(spec: KernelSpec, grid_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K(grid . x) for every candidate; +inf where a singular K meets x."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = _dot_rows(x[None, :], grid_pts)[0]
-        return _half_chord_kernel(spec, t, _COINCIDENCE_T)
+    return _half_chord_kernel(spec, _dot_rows(x[None, :], grid_pts)[0], _COINCIDENCE_T)
 
 
 def _grid_scores(
@@ -243,6 +237,7 @@ def _select_and_polish(
     return _polish(eta, pts, spec, step0)
 
 
+@np.errstate(invalid="ignore")  # as in greedy_next
 def greedy_generate(
     n: int, spec: KernelSpec, seed: int, grid_size: int = 8192
 ) -> PointSet:
@@ -321,8 +316,9 @@ def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int, buf: np.ndarray) -> np.nd
     return near
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the step mask or PointSet catches these
 def riesz_refine(
-    pts: PointSet, params: RefineParams, history_metric=None
+    pts: PointSet, params: RefineParams, history: bool = True
 ) -> tuple[PointSet, list[float]]:
     """k-NN Riesz repulsion with step Delta(x_i) / (t + offset).
 
@@ -339,18 +335,16 @@ def riesz_refine(
     nearest neighbor is at distance 0, or so close that |x_i - x_j|^(s+2)
     underflows to 0: the repulsion has no direction there.
 
-    ``history_metric`` maps a PointSet to the per-iteration history value;
-    the default is the bounded-kernel mean-pair score used by the node-set
-    benchmark tables.  Pass ``history_metric=False`` to skip history.
+    The history holds, per iteration, the bounded-kernel (cui-freeden)
+    mean-pair score of the iterate; ``history=False`` skips it and returns
+    an empty list.
     """
     n = len(pts)
     if params.k_neighbors >= n:
         raise DomainError("k_neighbors must be smaller than the point count")
-    if history_metric is None:
-        history_metric = _default_history_metric
     x = np.ascontiguousarray(pts.points.T)
     s = params.riesz_s
-    history: list[float] = []
+    scores: list[float] = []
     neighbors = None
     for t in range(params.iterations):
         if t % params.refresh_period == 0:
@@ -374,13 +368,10 @@ def riesz_refine(
         step[ok] = delta[ok] / (t + params.offset) / g_norm[ok]
         x = np.stack([xc + step * gc for xc, gc in zip(x, g)])
         x /= np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
-        if history_metric is not False:
-            history.append(history_metric(PointSet(x.T)))
+        if history:
+            pair = mean_pair_discrepancy(PointSet(x.T), KernelSpec("cui-freeden"), "include")
+            scores.append(pair.value)
     refined = PointSet(
         x.T, seed=pts.seed, provenance=f"riesz_refine:s={params.riesz_s:g}"
     )
-    return refined, history
-
-
-def _default_history_metric(pts: PointSet) -> float:
-    return mean_pair_discrepancy(pts, KernelSpec("cui-freeden"), "include").value
+    return refined, scores

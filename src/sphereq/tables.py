@@ -125,7 +125,7 @@ def run_table2(
         for seed in seeds:
             pts = random_unit_points(n, seed=seed * 100003 + n)
             refine = dataclasses.replace(base, k_neighbors=min(base.k_neighbors, n - 1))
-            refined, _ = riesz_refine(pts, refine, history_metric=False)
+            refined, _ = riesz_refine(pts, refine, history=False)
             for spec in TABLE2_KERNELS:
                 cells.setdefault((n, spec.name), []).append(
                     centered_pair_discrepancy(refined, spec)

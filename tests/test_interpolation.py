@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -296,9 +298,10 @@ def test_loocv_rank_deficient_tail_raises(sigma):
     # the sphere, so the saddle matrix is singular up to rounding
     pts = random_unit_points(60, seed=22)
     y = franke_eval(pts.points)
-    with pytest.raises(ConditioningError) as info:
-        loocv_errors_fast(pts, y, CF, 1.5, sigma, 2)
-    assert info.value.condition_estimate > 1e15
+    for fit in (loocv_errors_fast, fit_interpolant):  # one factor, one rule
+        with pytest.raises(ConditioningError) as info:
+            fit(pts, y, CF, 1.5, sigma, 2)
+        assert info.value.condition_estimate > 1e15
     with pytest.raises(ConfigurationError):
         epsilon_sweep(pts, y, CF, eps_grid=[1.0, 2.0, 4.0], sigma=sigma, poly_degree=2)
 
@@ -324,6 +327,29 @@ def test_loocv_input_errors_keep_their_types():
 
 
 
+@pytest.mark.parametrize("name", ["cui-freeden", "pycke", "riesz:s=0.5", "riesz:s=1"])
+def test_fit_matches_scipy_symmetric_solve_bit_for_bit(name):
+    # the oracle is the symmetric solve fits used before they shared the
+    # LOOCV factor: dsysv gives the same bits on well-conditioned problems
+    spec = parse_kernel(name)
+    sigma = 0.1 if is_singular_at_coincidence(spec) else 0.0
+    for n in (8, 40, 200):
+        for seed in range(3):
+            pts = random_unit_points(n, seed=seed)
+            y = franke_eval(pts.points)
+            for degree in (-1, 0, 1):
+                model = fit_interpolant(pts, y, spec, 1.5, sigma, degree)
+                g = interpolation._saddle(
+                    *interpolation._geometry(pts, degree), spec, 1.5, sigma
+                )
+                rhs = np.concatenate([y, np.zeros(g.shape[0] - n)])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                    want = scipy.linalg.solve(g, rhs, assume_a="sym")
+                got = np.concatenate([model.w, model.b])
+                assert got.tobytes() == want.tobytes(), (n, seed, degree)
+
+
 @pytest.mark.parametrize("fit", [fit_interpolant, loocv_errors_fast, loocv_errors_slow])
 def test_fits_and_loocv_check_their_arguments_alike(fit):
     pts = random_unit_points(12, seed=24)
@@ -331,8 +357,9 @@ def test_fits_and_loocv_check_their_arguments_alike(fit):
     for epsilon in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="shape parameter must be positive"):
             fit(pts, y, CF, epsilon, 0.1, 1)
-    with pytest.raises(DomainError, match="smoothing parameter must be non-negative"):
-        fit(pts, y, CF, 1.5, -0.1, 1)
+    for sigma in (-0.1, 1e200):  # sigma^2 enters G, and 1e200**2 overflows
+        with pytest.raises(DomainError, match="smoothing parameter must be non-negative"):
+            fit(pts, y, CF, 1.5, sigma, 1)
     for short in (y[:-1], y[:1]):
         with pytest.raises(DomainError, match="one observation per center required"):
             fit(pts, short, CF, 1.5, 0.1, 1)
@@ -341,8 +368,9 @@ def test_fits_and_loocv_check_their_arguments_alike(fit):
 def test_sweep_checks_its_data_and_smoothing_like_a_fit():
     pts = random_unit_points(12, seed=24)
     y = franke_eval(pts.points)
-    with pytest.raises(DomainError, match="smoothing parameter must be non-negative"):
-        epsilon_sweep(pts, y, CF, eps_grid=[1.0, 2.0], sigma=-0.1)
+    for sigma in (-0.1, 1e200):
+        with pytest.raises(DomainError, match="smoothing parameter must be non-negative"):
+            epsilon_sweep(pts, y, CF, eps_grid=[1.0, 2.0], sigma=sigma)
     with pytest.raises(DomainError, match="one observation per center required"):
         epsilon_sweep(pts, y[:1], CF, eps_grid=[1.0])
     with pytest.raises(DomainError, match="epsilon grid must be non-empty and positive"):

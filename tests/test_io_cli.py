@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereq.cli import main
 from sphereq.errors import DomainError, PointSetFormatError, PointSetValidationError
@@ -377,3 +383,150 @@ def test_cli_refine_with_a_repeated_point_exits_2(tmp_path, capsys):
     assert main(["refine", str(src), "--knn", "3", "--iters", "3", "--out", str(out)]) == 2
     assert "coincident points at indices 1 and 6" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_interpolate_with_a_rank_deficient_tail_exits_3(tmp_path, capsys):
+    # x^2 + y^2 + z^2 = 1 makes a degree-2 tail rank-deficient on the sphere
+    pts_path, out = tmp_path / "r8.csv", tmp_path / "model.json"
+    write_pointset(pts_path, random_unit_points(8, seed=3))
+    argv = ["interpolate", str(pts_path), "--degree", "2", "--epsilon", "1.5", "--sigma", "0.1"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "full system is not invertible" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["-2001", "2"])
+def test_cli_series_score_with_a_zero_symbol_exits_3(s, tmp_path, capsys):
+    # riesz:s=-2001 underflows to a zero symbol, riesz:s=2 has one exactly
+    pts_path = tmp_path / "oct.csv"
+    write_pointset(pts_path, PointSet(np.vstack([np.eye(3), -np.eye(3)])))
+    assert main(["score", str(pts_path), "--kernel", f"riesz:s={s}", "--nmax", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "symbol at degree 1 is" in captured.err
+
+
+def test_cli_sweep_refuses_a_grid_of_a_million_points(tmp_path, capsys):
+    # the first two spans overflow to inf, which used to end in an
+    # OverflowError; the last would have listed two million epsilons
+    pts_path = tmp_path / "centers.csv"
+    write_pointset(pts_path, random_unit_points(14, seed=4))
+    for grid in ("0:1e308:1e-300", "-1e308:1e308:1", "1:1000001:0.5"):
+        assert main(["sweep", str(pts_path), f"--epsilon={grid}"]) == 2
+        assert "fewer than a million points" in capsys.readouterr().err
+
+
+# --- generated command lines ---------------------------------------------------
+
+_BAD_COUNTS = ["0", "-1", "-7", "1.5", "nan", "inf", "x", ""]
+_EXTREME_REALS = ["nan", "inf", "-inf", "0", "-0.5", "-1e308", "1e308", "5e-324", "x", ""]
+_KERNELS = [
+    "pycke", "pycke:d1", "pycke:d2", "cui-freeden", "cui-freeden:d1", "cui-freeden:d2",
+    "gine", "gine:d1", "gine:d2", "ajne", "ajne:d1", "ajne:d2", "riesz:s=0", "riesz:s=1",
+    "riesz:s=-0.5", "riesz:s=0:d1", "mystery", "riesz",
+]
+_EXTREME_S = ["-2001", "-2000", "-700.5", "-2", "2", "300", "301", "1999", "1e308", "-1e308",
+              "5e-324", "nan", "inf"]
+
+
+@st.composite
+def _points_csv(draw):
+    """A few random unit points as CSV text, perhaps with a repeated row, a
+    bad field or in the theta,phi form."""
+    pts = random_unit_points(draw(st.integers(1, 8)), seed=draw(st.integers(0, 99))).points
+    if draw(st.integers(0, 3)) == 0:
+        pts = np.vstack([pts, pts[:1]])
+    if draw(st.integers(0, 3)) == 0:
+        header, rows = "theta,phi", [[f"{v:.17g}" for v in cartesian_to_spherical(p)] for p in pts]
+    else:
+        header, rows = "x,y,z", [[f"{v:.17g}" for v in p] for p in pts]
+    if draw(st.integers(0, 4)) == 0:
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(0, len(rows[0]) - 1))
+        rows[row][col] = draw(st.sampled_from(["nan", "inf", "-inf", "1e308", "abc", ""]))
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+@st.composite
+def _command(draw):
+    """(argv, csv text) for one subcommand; {in} and {out} stand for paths.
+
+    Each field takes an ordinary value four times in five and an extreme or
+    malformed one otherwise; a kernel is extreme half the time and an epsilon
+    grid two times in three.  Counts are never huge: a huge count asks for
+    unbounded time or memory, not for an error.
+    """
+    def field(ordinary, extreme):
+        return draw(extreme if draw(st.integers(0, 4)) == 0 else ordinary)
+
+    def count(lo, hi):
+        return field(st.integers(lo, hi).map(str), st.sampled_from(_BAD_COUNTS))
+
+    def real():
+        return field(st.floats(0.05, 8.0).map(repr), st.sampled_from(_EXTREME_REALS))
+
+    def seed():
+        return field(st.integers(0, 5).map(str), st.sampled_from(["-1", "1" + "0" * 30, "x"]))
+
+    def kernel():
+        riesz = st.builds("riesz:s={}{}".format, st.sampled_from(_EXTREME_S),
+                          st.sampled_from(["", ":d1", ":d2"]))
+        return draw(st.sampled_from(_KERNELS) | riesz)
+
+    def grid():  # a few edge values, so that a span can overflow
+        ordinary = st.floats(0.05, 8.0).map(repr)
+        edge = st.sampled_from(["0", "5e-324", "1e308", "-1e308", "nan", "inf", "x"])
+        return draw(st.builds("{}:{}:{}".format, ordinary, ordinary, ordinary)
+                    | st.builds("{}:{}:{}".format, edge, edge, edge)
+                    | st.builds("{},{}".format, edge, ordinary))
+
+    degree = st.sampled_from(["-1", "0", "1", "2", "-3", "x"])
+    cmd = draw(st.sampled_from(
+        ["generate", "refine", "score", "interpolate", "sweep", "table1", "table2", "convert"]
+    ))
+    if cmd == "generate":
+        opts = ["--kernel", kernel(), "--n", count(1, 6), "--seed", seed(), "--grid", count(16, 64)]
+    elif cmd == "refine":
+        opts = ["--seed", seed(), "--knn", count(1, 4), "--iters", count(1, 3),
+                "--riesz-s", real(), "--offset", real()]
+        opts += ["{in}"] if draw(st.booleans()) else ["--n", count(2, 12)]
+    elif cmd == "score":
+        opts = ["{in}", "--kernel", kernel(), "--m", count(0, 3), "--nmax", count(0, 12),
+                "--method", draw(st.sampled_from(["rms", "mean"]))]
+    elif cmd in ("interpolate", "sweep"):
+        opts = ["{in}", "--kernel", kernel(), "--sigma", real(), "--degree", draw(degree),
+                "--epsilon=" + (real() if cmd == "interpolate" else grid())]
+    elif cmd == "table1":  # a valid table runs the whole N ladder, so one field is bad
+        opts = ["--seed", seed(), "--grid", draw(st.sampled_from(_BAD_COUNTS)),
+                "--nmax", count(1, 10)]
+    elif cmd == "table2":
+        opts = ["--seed", seed(), "--knn", count(1, 4),
+                "--iters", draw(st.sampled_from(_BAD_COUNTS)), "--riesz-s", real(),
+                "--offset", real()]
+    else:
+        opts = ["{in}", "{out}", "--format", draw(st.sampled_from(["csv", "json"]))]
+    if cmd != "convert":
+        opts += ["--out", "{out}"]
+    return [cmd] + opts, draw(_points_csv())
+
+
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_command())
+def test_generated_command_lines_exit_with_a_documented_code(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as d:
+        src, out = os.path.join(d, "in.csv"), os.path.join(d, "out.txt")
+        with open(src, "w") as fh:
+            fh.write(text)
+        argv = [a.replace("{in}", src).replace("{out}", out) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            for name in sorted(os.listdir(d)):
+                if name != "in.csv":
+                    with open(os.path.join(d, name)) as fh:
+                        assert not _NON_FINITE.search(fh.read()), (argv, name)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphereq.errors import CapabilityError, DomainError, SingularKernelError
+from sphereq.errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from sphereq.kernels import (
     CHORDAL,
     KernelSpec,
@@ -244,6 +244,19 @@ def test_symbol_positivity_and_parity():
     assert all(seq.value(n) > 0 for n in range(1, 201))
 
 
+@pytest.mark.parametrize("s, value", [(-2001.0, "-0.0"), (2.0, "0.0"), (-2000.0, "nan")])
+def test_a_symbol_without_a_finite_weight_names_its_degree(s, value):
+    # -2001 underflows to -0.0, s = 2 is 0 exactly, and -2000 meets gamma poles
+    with pytest.raises(ConditioningError, match=f"riesz symbol at degree 1 is {value}$"):
+        SymbolSequence("riesz", s=s).series_weights(4)
+
+
+def test_an_overflowed_symbol_gives_a_zero_weight():
+    # A_n^2 beyond the float range has a weight below it: 0, not an error
+    assert math.isinf(symbol_squared("riesz", 1, s=1999.0))
+    assert not SymbolSequence("riesz", s=1999.0).series_weights(4).any()
+
+
 # --- truncated series -------------------------------------------------------
 
 def test_series_matches_pycke_closed_form():
@@ -349,9 +362,8 @@ def test_out_path_is_bit_identical_to_kernel_eval(spec):
 def test_out_path_keeps_error_types():
     for spec in (PYCKE, KernelSpec("pycke", m=2), KernelSpec("riesz", s=1.0),
                  KernelSpec("riesz", s=0.0, m=1), KernelSpec("gine", m=1)):
-        u = np.array([0.3, 0.0, 0.5])
-        with pytest.raises(SingularKernelError):
-            _kernel_eval_u(spec, u, out=u)
+        with pytest.raises(SingularKernelError):  # t = 1 - 2u^2 for u = 0.3, 0, 0.5
+            kernel_eval(spec, [0.82, 1.0, 0.5])
     for spec in (KernelSpec("gine", m=1), KernelSpec("gine", m=2),
                  KernelSpec("ajne", m=1), KernelSpec("ajne", m=2)):
         u = np.array([0.3, 1.0])  # t = -1

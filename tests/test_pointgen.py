@@ -474,7 +474,7 @@ def test_refine_improves_over_random():
             out, _ = riesz_refine(
                 pts,
                 RefineParams(k_neighbors=min(12, n - 1), iterations=100, riesz_s=1.0),
-                history_metric=False,
+                history=False,
             )
             after = mean_pair_discrepancy(out, CF, INCLUDE).value
             assert after < before
@@ -493,7 +493,7 @@ def test_refine_unit_norms():
     pts = random_unit_points(50, seed=9)
     out, _ = riesz_refine(
         pts, RefineParams(k_neighbors=8, iterations=25, riesz_s=1.0),
-        history_metric=False,
+        history=False,
     )
     assert np.max(np.abs(np.linalg.norm(out.points, axis=1) - 1.0)) < 1e-12
 
@@ -545,7 +545,7 @@ def _refine_oracle(pts, params):
 def test_refine_equals_the_point_major_loop(n, k, s):
     pts = random_unit_points(n, seed=n + k)
     params = RefineParams(k_neighbors=k, iterations=35, riesz_s=s)
-    out, _ = riesz_refine(pts, params, history_metric=False)
+    out, _ = riesz_refine(pts, params, history=False)
     assert out.points.tobytes() == _refine_oracle(pts, params).tobytes()
 
 
@@ -589,4 +589,24 @@ def test_refine_names_a_nearly_coincident_pair():
     p = random_unit_points(5, seed=3).points
     p = np.vstack([p[:2], [[1.0, 0.0, 0.0]], p[2:], [[1.0, 1e-110, 0.0]]])
     with pytest.raises(DomainError, match="nearly coincident points at indices 2 and 6"):
-        riesz_refine(PointSet(p), RefineParams(k_neighbors=3, iterations=3), history_metric=False)
+        riesz_refine(PointSet(p), RefineParams(k_neighbors=3, iterations=3), history=False)
+
+
+def test_refine_with_a_huge_exponent_does_not_warn():
+    # |x_i - x_j|^(s+2) overflows to inf for a neighbor farther than 1, and
+    # that neighbor's pull drops out; numpy used to warn on the overflow
+    p = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    out, history = riesz_refine(PointSet(p), RefineParams(k_neighbors=1, iterations=2, riesz_s=1e308))
+    assert np.all(np.isfinite(out.points)) and np.all(np.isfinite(history))
+    # delta / offset overflows on the first step; numpy used to warn first
+    params = RefineParams(k_neighbors=1, iterations=3, offset=5e-324)
+    for history in (True, False):
+        with pytest.raises(DomainError, match="coordinates must be finite"):
+            riesz_refine(random_unit_points(2, seed=1), params, history=history)
+
+
+def test_greedy_with_an_overflowing_kernel_does_not_warn():
+    # K = -c (2u)^1997 overflows to -inf on far candidates, and the grid sums
+    # add it to the +inf of a coincident one; numpy used to warn on inf - inf
+    pts = greedy_generate(4, parse_kernel("riesz:s=-2001:d2"), seed=1, grid_size=16)
+    assert np.all(np.isfinite(pts.points))
