@@ -86,18 +86,18 @@ def _history_path(out: str) -> str:
     return os.path.splitext(out)[0] + "_history.csv"
 
 
+def _refine_params(args) -> RefineParams:
+    return RefineParams(
+        k_neighbors=args.knn, iterations=args.iters, riesz_s=args.riesz_s, offset=args.offset
+    )
+
+
 def _cmd_refine(args) -> int:
     if args.input:
         pts = read_pointset(args.input)
     else:
         pts = random_unit_points(args.n, seed=args.seed)
-    params = RefineParams(
-        k_neighbors=args.knn,
-        iterations=args.iters,
-        riesz_s=args.riesz_s,
-        offset=args.offset,
-    )
-    refined, history = riesz_refine(pts, params)
+    refined, history = riesz_refine(pts, _refine_params(args))
     write_pointset(args.out, refined)
     lines = ["iteration,discrepancy"]
     lines += [f"{i},{d:.17g}" for i, d in enumerate(history)]
@@ -181,13 +181,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    params = RefineParams(
-        k_neighbors=args.knn,
-        iterations=args.iters,
-        riesz_s=args.riesz_s,
-        offset=args.offset,
-    )
-    rows = tables.run_table2(seeds=_parse_seeds(args.seed), params=params)
+    rows = tables.run_table2(seeds=_parse_seeds(args.seed), params=_refine_params(args))
     _write_text(args.out, tables.rows_to_csv(rows))
     return 0
 
@@ -242,6 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--grid", type=int, default=8192, help="argmin grid size")
 
+    def refine_flags(p):
+        p.add_argument("--knn", type=int, default=12)
+        p.add_argument("--iters", type=int, default=200)
+        p.add_argument("--riesz-s", type=float, default=1.0)
+        p.add_argument("--offset", type=float, default=19.0)
+
     p = sub.add_parser("generate", help="greedy node generation")
     common_gen(p)
     p.add_argument("--out", required=True)
@@ -251,10 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="point-set CSV (default: random start)")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--knn", type=int, default=12)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--riesz-s", type=float, default=1.0)
-    p.add_argument("--offset", type=float, default=19.0)
+    refine_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_refine)
 
@@ -297,10 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table2", help="refined node-set benchmark table")
     p.add_argument("--seed", default="1,2,3,4,5", help="comma-separated seed panel")
-    p.add_argument("--knn", type=int, default=12)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--riesz-s", type=float, default=1.0)
-    p.add_argument("--offset", type=float, default=19.0)
+    refine_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_table2)
 

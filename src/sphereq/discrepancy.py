@@ -53,6 +53,7 @@ from .errors import CapabilityError, ConditioningError, DomainError, SingularKer
 from .kernels import (
     KernelSpec,
     SymbolSequence,
+    _half_chords,
     _kernel_eval_u,
     is_singular_at_coincidence,
 )
@@ -170,13 +171,6 @@ def _dot_rows(
     t = np.empty((a.shape[1], b.shape[1])) if out is None else out
     _dot_block(a, b, t)
     return np.clip(t, -1.0, 1.0, out=t)
-
-
-def _half_chords(t: np.ndarray) -> np.ndarray:
-    """Map clipped dots t in place to u = sqrt((1 - t)/2), as kernel_eval does."""
-    np.subtract(1.0, t, out=t)
-    t /= 2.0
-    return np.sqrt(t, out=t)
 
 
 def pair_dot_matrix(pts: PointSet) -> np.ndarray:

@@ -15,19 +15,27 @@ Every family is evaluated internally in the half-chord variable
 through exact power-of-two scalings, so dot-product and chordal evaluation
 agree bit-for-bit.
 
-Derivative orders m = 1, 2 use the closed forms the families are generated
-with: for pycke (and riesz s=0) these are the unnormalized t-derivatives
-1/(1-t) and 1/(1-t)^2; for cui-freeden the chordal Taylor magnitudes
-|d^m K/dr^m| / m!, i.e. 1/(1+r/2) and (1/4)/(1+r/2)^2, which stay finite at
-coincidence; gine, ajne and riesz use exact t-derivatives.  Constant factors
-are dropped where noted because every downstream use (argmin searches,
-relative comparisons) is scale-invariant.
+Derivative orders m >= 1 use the closed forms the families are generated
+with, each written once for every order:
+
+* pycke and riesz s = 0: (m-1)!/(1-t)^m, the t-derivative of order m - 1,
+  except that pycke m = 1 drops the 1/(4pi) of the m = 0 form;
+* riesz s != 0, gine and ajne: exact t-derivatives;
+* cui-freeden: the chordal Taylor magnitudes |d^m K/dr^m| / m! =
+  2^(1-m)/(m (1+r/2)^m), finite at coincidence and not t-derivatives.
+
+:func:`kernel_eval` stops at M_CLOSED_MAX.  The descent derivative
+(:func:`kernel_t_derivative`) of order m is the closed form of order m + 1
+for pycke m >= 1 and riesz; pycke m = 0 and cui-freeden have their own.
+Constant factors are dropped where noted because every downstream use
+(argmin searches, relative comparisons) is scale-invariant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -146,10 +154,6 @@ def _eval_u(
     the order its expression evaluates, so every caller gets the same bits.
     """
     family, m, s = spec.family, spec.m, spec.s
-    if m > M_CLOSED_MAX:
-        raise CapabilityError(
-            f"closed-form evaluation supports m <= {M_CLOSED_MAX} (got m={m})"
-        )
     v = np.empty_like(u) if out is None else out
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # +-inf, NaN at u = 0
         if family == "pycke" and m == 0:
@@ -164,13 +168,13 @@ def _eval_u(
             np.multiply(2.0, u, out=v)
             np.log(v, out=v)
             v *= -2.0
-        elif family == "pycke" or s == 0.0:  # pycke and riesz s = 0, m >= 1
+        elif family == "pycke" or s == 0.0:  # m >= 1: (m-1)!/(1-t)^m, 1 - t = 2u^2
             if m == 1:
-                np.multiply(2.0 * u, u, out=v)  # 1/(1-t), constants dropped
+                np.multiply(2.0 * u, u, out=v)
             else:
-                np.power(u, 4, out=v)  # 1/(1-t)^2
-                v *= 4.0
-            np.divide(1.0, v, out=v)
+                np.power(u, 2 * m, out=v)
+                v *= 2.0**m
+            np.divide(float(math.factorial(m - 1)), v, out=v)
         elif family == "riesz":
             # sign(s) 2^m poch(s/2, m) (2u)^(-(s+2m)); at m = 0, sign(s) (2u)^-s
             # and, for m >= 1, the exact t-derivative
@@ -186,12 +190,10 @@ def _eval_u(
                 v *= 2.0
                 np.subtract(1.0, v, out=v)
             else:
-                np.add(1.0, u, out=v)
-                if m == 1:
-                    np.divide(1.0, v, out=v)  # |dK/dr|
-                else:
-                    v **= 2
-                    np.divide(0.25, v, out=v)  # |d^2K/dr^2| / 2!
+                np.add(1.0, u, out=v)  # |d^m K/dr^m| / m! = 2^(1-m)/(m (1+u)^m)
+                if m > 1:
+                    v **= m
+                np.divide(2.0 ** (1 - m) / m, v, out=v)
         else:
             _eval_arc(family, m, np.minimum(u, 1.0, out=v))
         if spec.shifted and m == 0:
@@ -226,7 +228,7 @@ def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
         np.divide(1.0, uc, out=uc)
     else:
         # gine m = 1: (2/pi) (1 - 2 uc^2) / (2 uc root);
-        # ajne m = 2: (1 - 2 uc^2) / (4pi (2 uc root)^3)
+        # ajne m = 2: (1 - 2 uc^2) / (2pi (2 uc root)^3)
         den = 2.0 * uc
         np.multiply(den, uc, out=uc)
         np.subtract(1.0, uc, out=uc)
@@ -235,51 +237,38 @@ def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
             uc *= 2.0 / math.pi
         else:
             den **= 3
-            den *= 4.0 * math.pi
+            den *= 2.0 * math.pi
         uc /= den
 
 
-def _t_derivative_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """d/dt of the closed form of :func:`_eval_u`, on u = r/2 >= 0."""
-    family, m, s = spec.family, spec.m, spec.s
+def _t_derivative_u(spec: KernelSpec):
+    """d/dt of the closed form of :func:`_eval_u`, as a function of u = r/2 >= 0.
+
+    The closed form of order m + 1, except for pycke m = 0 (the m = 1 form
+    drops its 1/(4pi)) and cui-freeden (whose orders are not t-derivatives).
+    """
+    family, m = spec.family, spec.m
     if family not in ("pycke", "cui-freeden", "riesz"):
         raise CapabilityError(f"no descent derivative for family {family!r}")
     if m > M_CLOSED_MAX:
         raise CapabilityError(f"no descent derivative at order m={m}")
-    with np.errstate(divide="ignore", over="ignore"):
-        if family == "cui-freeden":
-            if m == 0:
-                return 1.0 / (2.0 * u * (1.0 + u))
-            if m == 1:
-                return 1.0 / (4.0 * u * (1.0 + u) ** 2)
-            return 1.0 / (8.0 * u * (1.0 + u) ** 3)
-        if family == "riesz" and s != 0.0:
-            # sign(s) 2^(m+1) poch(s/2, m+1) (2u)^(-(s+2(m+1)))
-            poch = 1.0
-            for j in range(m + 1):
-                poch *= s / 2.0 + j
-            c = math.copysign(1.0, s) * 2.0 ** (m + 1) * poch
-            return c * (2.0 * u) ** (-(s + 2 * (m + 1)))
-        # pycke and riesz s = 0 differ only in the 1/(4pi) of the m = 0 form
-        if m == 0:
-            if family == "pycke":
-                return 1.0 / (_FOUR_PI * 2.0 * u * u)
-            return 1.0 / (2.0 * u * u)
-        if m == 1:
-            return 1.0 / (4.0 * u**4)
-        return 2.0 / (8.0 * u**6)
+    if family == "riesz" or family == "pycke" and m >= 1:
+        return partial(_eval_u, KernelSpec(family, m + 1, spec.s))
+
+    @np.errstate(divide="ignore", over="ignore")  # +inf at u = 0
+    def t_derivative(u: np.ndarray) -> np.ndarray:
+        if family == "pycke":
+            return 1.0 / (_FOUR_PI * 2.0 * u * u)
+        return 1.0 / (2.0 ** (m + 1) * u * (1.0 + u) ** (m + 1))
+
+    return t_derivative
 
 
-def _u_from_t(t: np.ndarray) -> np.ndarray:
-    if np.any(t < -1.0) or np.any(t > 1.0):
-        raise DomainError("dot-product argument must lie in [-1, 1]")
-    return np.sqrt((1.0 - t) / 2.0)
-
-
-def _u_from_r(r: np.ndarray) -> np.ndarray:
-    if np.any(r < 0.0):
-        raise DomainError("chordal distance must be non-negative")
-    return r / 2.0
+def _half_chords(t: np.ndarray) -> np.ndarray:
+    """Map clipped dots t in place to u = sqrt((1 - t)/2)."""
+    np.subtract(1.0, t, out=t)
+    t /= 2.0
+    return np.sqrt(t, out=t)
 
 
 def _kernel_eval_u(
@@ -289,28 +278,46 @@ def _kernel_eval_u(
 
     :func:`kernel_eval` after its range and coincidence checks, for callers
     that form ``u`` and decide coincidence on their dots.  Raises
+    :class:`CapabilityError` above order M_CLOSED_MAX and
     :class:`SingularKernelError` for a gine or ajne derivative at t = -1.  The
     result goes into ``out`` as in :func:`_eval_u`; ``out=u`` is in place.
     """
+    if spec.m > M_CLOSED_MAX:
+        raise CapabilityError(f"closed-form evaluation supports m <= {M_CLOSED_MAX} (got m={spec.m})")
     if spec.family in ("gine", "ajne") and spec.m >= 1 and np.any(u >= 1.0):
         raise SingularKernelError(spec.name, "derivative is singular at t = -1")
     return _eval_u(spec, u, out)
 
 
-def kernel_eval(spec: KernelSpec, x):
-    """Evaluate the kernel closed form.
+def _on_half_chords(spec: KernelSpec, x, evaluate):
+    """``evaluate`` on the half-chords of ``x``, shaped as ``x``.
 
     ``x`` is the dot product t in [-1, 1] or the chordal distance r >= 0,
-    per ``spec.convention``.  Raises :class:`SingularKernelError` when a
-    singular kernel is evaluated at coincidence.
+    per ``spec.convention``; a scalar gives a float.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    u = _u_from_t(arr) if spec.convention == DOT_PRODUCT else _u_from_r(arr)
-    if is_singular_at_coincidence(spec) and np.any(u == 0.0):
-        raise SingularKernelError(spec.name, "kernel is singular at coincidence")
-    out = _kernel_eval_u(spec, np.atleast_1d(u))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    if spec.convention == DOT_PRODUCT:
+        if np.any(arr < -1.0) or np.any(arr > 1.0):
+            raise DomainError("dot-product argument must lie in [-1, 1]")
+        u = _half_chords(np.array(arr, ndmin=1))
+    else:
+        if np.any(arr < 0.0):
+            raise DomainError("chordal distance must be non-negative")
+        u = np.atleast_1d(arr) / 2.0
+    out = evaluate(u)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def kernel_eval(spec: KernelSpec, x):
+    """The closed form at t or r, per ``spec.convention``.  Raises
+    :class:`SingularKernelError` for a singular kernel at coincidence."""
+
+    def checked(u: np.ndarray) -> np.ndarray:
+        if is_singular_at_coincidence(spec) and np.any(u == 0.0):
+            raise SingularKernelError(spec.name, "kernel is singular at coincidence")
+        return _kernel_eval_u(spec, u)
+
+    return _on_half_chords(spec, x, checked)
 
 
 def kernel_t_derivative(spec: KernelSpec, x):
@@ -319,11 +326,7 @@ def kernel_t_derivative(spec: KernelSpec, x):
     Used by local descent during greedy node placement.  Supported for the
     pycke, cui-freeden and riesz families at m <= 2.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    u = _u_from_t(arr) if spec.convention == DOT_PRODUCT else _u_from_r(arr)
-    out = _t_derivative_u(spec, np.atleast_1d(u))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _on_half_chords(spec, x, _t_derivative_u(spec))
 
 
 def kernel_uniform_mean(spec: KernelSpec) -> float:

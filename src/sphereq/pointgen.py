@@ -32,17 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConditioningError, ConfigurationError, DomainError
 from .discrepancy import (
     _COINCIDENCE_T,
     PointSet,
     _dot_block,
     _dot_rows,
-    _half_chords,
     mean_pair_discrepancy,
 )
 from .kernels import (
     KernelSpec,
+    _half_chords,
     _kernel_eval_u,
     _t_derivative_u,
     is_singular_at_coincidence,
@@ -85,10 +85,17 @@ class CandidateGrid:
     points: PointSet
 
 
+def _check_count(count: int, what: str) -> None:
+    """Refuse a count whose (count, 3) float array numpy cannot index."""
+    if int(count) * 24 > np.iinfo(np.intp).max:
+        raise DomainError(f"{what} {count} is too large for an array")
+
+
 def random_unit_points(n: int, seed: int) -> PointSet:
     """n independent uniform points: normalized standard-normal triples."""
     if n < 1:
         raise DomainError("need at least one point")
+    _check_count(n, "point count")
     if seed < 0:
         raise DomainError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
@@ -105,6 +112,7 @@ def candidate_grid(m: int) -> CandidateGrid:
     """Spherical Fibonacci lattice of m points (m >= 16)."""
     if m < 16:
         raise DomainError("candidate grid needs at least 16 points")
+    _check_count(m, "candidate grid size")
     i = np.arange(m, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / m
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -171,12 +179,13 @@ def _polish(
     alphas = np.array(alphas)[:, None]
     shape = (alphas.shape[0], pts.shape[0])
     u, vals = np.empty(shape), np.empty(shape)
+    t_derivative = _t_derivative_u(spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         row = _dot_rows(eta[None, :], pts)
         f = np.sum(_half_chord_kernel(spec, row, 1.0), axis=1)[0]
         u_eta = row[0]
         for _ in range(max_iter):
-            dk = _t_derivative_u(spec, u_eta)
+            dk = t_derivative(u_eta)
             grad = np.sum(dk[:, None] * pts, axis=0)
             g_t = grad - np.dot(grad, eta) * eta
             g_norm = float(np.sqrt(np.dot(g_t, g_t)))
@@ -198,14 +207,14 @@ def _polish(
     return eta
 
 
-@np.errstate(invalid="ignore")  # an overflowed K makes inf - inf, an unusable score
+@np.errstate(invalid="ignore")  # an overflowed K makes inf - inf, a NaN score
 def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndarray:
     """Next node: grid argmin of the summed kernel, then local polish.
 
     For a kernel singular at coincidence, a grid candidate that coincides
-    with a node (dot product >= 1 - 1e-14) is skipped, and so is one whose
-    summed kernel overflowed.  Raises :class:`ConfigurationError` when no
-    candidate remains.
+    with a node (dot product >= 1 - 1e-14) is skipped.  Raises
+    :class:`ConfigurationError` when no candidate remains, and
+    :class:`ConditioningError` when a summed kernel is NaN or -inf.
     """
     scores = _grid_scores(pts.points, spec, grid.points.points)
     return _select_and_polish(pts.points, spec, grid, scores)
@@ -228,11 +237,12 @@ def _grid_scores(
 def _select_and_polish(
     pts: np.ndarray, spec: KernelSpec, grid: CandidateGrid, scores: np.ndarray
 ) -> np.ndarray:
-    usable = np.isfinite(scores)
-    if not np.any(usable):
+    lowest = float(np.min(scores))  # NaN if any score is NaN
+    if math.isnan(lowest) or lowest == -math.inf:
+        raise ConditioningError(f"{spec.name} overflows on the candidate grid (a score is {lowest})")
+    if lowest == math.inf:
         raise ConfigurationError("every grid candidate coincides with an existing node")
-    masked = np.where(usable, scores, np.inf)
-    eta = grid.points.points[int(np.argmin(masked))].copy()
+    eta = grid.points.points[int(np.argmin(scores))].copy()
     step0 = 4.0 / math.sqrt(grid.size)  # about one grid spacing
     return _polish(eta, pts, spec, step0)
 
@@ -246,11 +256,11 @@ def greedy_generate(
     Grid kernel sums are maintained incrementally, so the whole run costs
     O(n * grid_size) kernel evaluations plus the polish work.  For a kernel
     singular at coincidence, a grid candidate that coincides with a placed
-    node is skipped; :class:`ConfigurationError` is raised when no candidate
-    remains.
+    node is skipped; the errors are those of :func:`greedy_next`.
     """
     if n < 1:
         raise DomainError("need at least one point")
+    _check_count(n, "point count")
     grid = candidate_grid(grid_size)
     first = greedy_initial(seed)
     out = np.empty((n, 3))
@@ -316,7 +326,7 @@ def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int, buf: np.ndarray) -> np.nd
     return near
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the step mask or PointSet catches these
+@np.errstate(over="ignore", invalid="ignore")  # the step mask and checks catch these
 def riesz_refine(
     pts: PointSet, params: RefineParams, history: bool = True
 ) -> tuple[PointSet, list[float]]:
@@ -333,7 +343,9 @@ def riesz_refine(
 
     Raises :class:`DomainError` naming a coincident pair when a point's
     nearest neighbor is at distance 0, or so close that |x_i - x_j|^(s+2)
-    underflows to 0: the repulsion has no direction there.
+    underflows to 0: the repulsion has no direction there.  Raises
+    :class:`DomainError` naming the offset and the iteration when a step
+    overflows, as a tiny offset makes it do on the first iteration.
 
     The history holds, per iteration, the bounded-kernel (cui-freeden)
     mean-pair score of the iterate; ``history=False`` skips it and returns
@@ -366,6 +378,8 @@ def riesz_refine(
         ok = (g_norm > 0.0) & np.isfinite(g_norm)
         step = np.zeros_like(g_norm)
         step[ok] = delta[ok] / (t + params.offset) / g_norm[ok]
+        if not np.isfinite(step).all():
+            raise DomainError(f"step at iteration {t} is not finite with offset {params.offset!r}")
         x = np.stack([xc + step * gc for xc, gc in zip(x, g)])
         x /= np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
         if history:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from statistics import median
 
 from .discrepancy import (
     INCLUDE,
@@ -50,14 +51,6 @@ TABLE2_KERNELS = (
 
 DEFAULT_TABLE1_SEEDS = (42, 43, 44)
 DEFAULT_TABLE2_SEEDS = (1, 2, 3, 4, 5)
-
-
-def _median(values) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 def series_node_discrepancy(pts: PointSet, n_max: int = TABLE1_NMAX) -> float:
@@ -102,7 +95,7 @@ def run_table1(
                     series_node_discrepancy(prefix, n_max)
                 )
     return [
-        (n, spec.name, _median(cells[(n, spec.name)]))
+        (n, spec.name, median(cells[(n, spec.name)]))
         for n in n_list
         for spec in TABLE1_KERNELS
     ]
@@ -131,7 +124,7 @@ def run_table2(
                     centered_pair_discrepancy(refined, spec)
                 )
     return [
-        (n, spec.name, _median(cells[(n, spec.name)]))
+        (n, spec.name, median(cells[(n, spec.name)]))
         for n in n_list
         for spec in TABLE2_KERNELS
     ]

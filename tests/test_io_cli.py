@@ -416,6 +416,38 @@ def test_cli_sweep_refuses_a_grid_of_a_million_points(tmp_path, capsys):
         assert "fewer than a million points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--n", str(10**30), "--grid", "16"], f"point count {10**30}"),
+        (["generate", "--n", "3", "--grid", str(10**30)], f"candidate grid size {10**30}"),
+        (["refine", "--n", str(10**30)], f"point count {10**30}"),
+        (["generate", "--n", str(2**62), "--grid", "16"], f"point count {2**62}"),
+    ],
+)
+def test_cli_refuses_a_count_too_large_for_an_array(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message} is too large for an array\n"
+    assert not out.exists()
+
+
+def test_cli_refine_with_a_tiny_offset_names_it(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["refine", "--n", "30", "--knn", "4", "--iters", "3", "--offset", "5e-324"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: step at iteration 0 is not finite with offset 5e-324\n"
+    assert not out.exists()
+
+
+def test_cli_generate_with_an_overflowing_kernel_exits_3(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["generate", "--n", "4", "--grid", "16", "--seed", "1", "--kernel", "riesz:s=-2001:d2"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "riesz:s=-2001:d2 overflows on the candidate grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- generated command lines ---------------------------------------------------
 
 _BAD_COUNTS = ["0", "-1", "-7", "1.5", "nan", "inf", "x", ""]

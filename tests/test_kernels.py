@@ -9,6 +9,7 @@ from sphereq.kernels import (
     KernelSpec,
     SymbolSequence,
     _kernel_eval_u,
+    _t_derivative_u,
     is_singular_at_coincidence,
     kernel_derivative,
     kernel_eval,
@@ -63,6 +64,8 @@ def test_gine_ajne_closed_forms():
     ajne = 0.25 - math.acos(t) / (2.0 * math.pi)
     assert kernel_eval(KernelSpec("gine"), t) == pytest.approx(gine, rel=1e-14)
     assert kernel_eval(KernelSpec("ajne"), t) == pytest.approx(ajne, rel=1e-14)
+    ajne2 = t / (2.0 * math.pi * (1.0 - t * t) ** 1.5)
+    assert kernel_eval(KernelSpec("ajne", m=2), t) == pytest.approx(ajne2, rel=1e-14)
 
 
 def test_singularity_errors_carry_kernel_name():
@@ -306,6 +309,22 @@ def test_t_derivative_by_finite_differences():
             assert kernel_t_derivative(spec, t) == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec("gine"), KernelSpec("gine", m=1), KernelSpec("ajne"), KernelSpec("ajne", m=1),
+     KernelSpec("pycke", m=1)]
+    + [KernelSpec("riesz", m=m, s=s) for s in (0.0, 1.0, -0.5, 2.5) for m in (0, 1)],
+    ids=lambda s: s.name,
+)
+def test_next_order_is_the_t_derivative(spec):
+    # ajne:d2 used to be half of d/dt ajne:d1
+    h = 1e-6
+    up = KernelSpec(spec.family, spec.m + 1, spec.s)
+    for t in (-0.8, -0.5, -0.2, 0.3, 0.4, 0.7, 0.8):
+        fd = (kernel_eval(spec, t + h) - kernel_eval(spec, t - h)) / (2 * h)
+        assert kernel_eval(up, t) == pytest.approx(fd, rel=1e-6), t
+
+
 def test_is_singular_catalog():
     assert is_singular_at_coincidence(PYCKE)
     assert is_singular_at_coincidence(KernelSpec("riesz", s=1.0))
@@ -369,7 +388,77 @@ def test_out_path_keeps_error_types():
         u = np.array([0.3, 1.0])  # t = -1
         with pytest.raises(SingularKernelError, match="t = -1"):
             _kernel_eval_u(spec, u, out=np.empty_like(u))
-    for spec in (CF, KernelSpec("riesz", s=-0.5), KernelSpec("gine")):
+    for spec in (PYCKE, CF, KernelSpec("riesz", s=-0.5), KernelSpec("riesz", s=0.0),
+                 KernelSpec("gine")):
         u = np.array([0.1, 0.7])
-        with pytest.raises(CapabilityError):
-            _kernel_eval_u(KernelSpec(spec.family, m=3, s=spec.s), u, out=u)
+        d3 = KernelSpec(spec.family, m=3, s=spec.s)  # evaluated only inside the descent
+        with pytest.raises(CapabilityError, match="supports m <= 2"):
+            _kernel_eval_u(d3, u, out=u)
+        with pytest.raises(CapabilityError, match="supports m <= 2"):
+            kernel_eval(d3, 0.3)
+        with pytest.raises(CapabilityError, match="descent derivative"):
+            kernel_t_derivative(d3, 0.3)
+
+
+# --- the descent derivative against the formula table it replaced -------------
+
+
+def _table_t_derivative(spec, u):
+    """d/dt of the closed form as a formula table of its own, one line per order."""
+    family, m, s = spec.family, spec.m, spec.s
+    with np.errstate(divide="ignore", over="ignore"):
+        if family == "cui-freeden":
+            if m == 0:
+                return 1.0 / (2.0 * u * (1.0 + u))
+            if m == 1:
+                return 1.0 / (4.0 * u * (1.0 + u) ** 2)
+            return 1.0 / (8.0 * u * (1.0 + u) ** 3)
+        if family == "riesz" and s != 0.0:
+            poch = 1.0
+            for j in range(m + 1):
+                poch *= s / 2.0 + j
+            c = math.copysign(1.0, s) * 2.0 ** (m + 1) * poch
+            return c * (2.0 * u) ** (-(s + 2 * (m + 1)))
+        if m == 0:
+            if family == "pycke":
+                return 1.0 / (FOUR_PI * 2.0 * u * u)
+            return 1.0 / (2.0 * u * u)
+        if m == 1:
+            return 1.0 / (4.0 * u**4)
+        return 2.0 / (8.0 * u**6)
+
+
+def _table_eval(spec, u):
+    """The m = 1, 2 closed forms of pycke, riesz s = 0 and cui-freeden, one line each."""
+    with np.errstate(divide="ignore", over="ignore"):
+        if spec.family == "cui-freeden":
+            return 1.0 / (1.0 + u) if spec.m == 1 else 0.25 / (1.0 + u) ** 2
+        return 1.0 / (2.0 * u * u) if spec.m == 1 else 1.0 / (4.0 * u**4)
+
+
+DESCENT_SPECS = [
+    KernelSpec(family, m=m, s=s)
+    for family, exponents in (
+        ("pycke", [None]), ("cui-freeden", [None]), ("riesz", [0.0, 1.0, -0.5, 2.5, 0.7, -1.3]),
+    )
+    for s in exponents
+    for m in range(3)
+]
+
+
+@pytest.fixture(scope="module")
+def dense_u():
+    t = np.linspace(-1.0, 1.0, 400001)
+    draws = np.random.default_rng(20231001).random(10**6)
+    return t, np.concatenate([np.sqrt((1.0 - t) / 2.0), draws, np.logspace(-150, 0, 20000), [0.0]])
+
+
+@pytest.mark.parametrize("spec", DESCENT_SPECS, ids=lambda s: s.name)
+def test_descent_derivative_equals_the_formula_table_bit_for_bit(spec, dense_u):
+    t, u = dense_u
+    expect = _table_t_derivative(spec, u)
+    assert _t_derivative_u(spec)(u).tobytes() == expect.tobytes()
+    got = kernel_t_derivative(spec, t)
+    assert got.tobytes() == expect[: t.size].tobytes()
+    if spec.m >= 1 and (spec.family != "riesz" or spec.s == 0.0):
+        assert _kernel_eval_u(spec, u).tobytes() == _table_eval(spec, u).tobytes()

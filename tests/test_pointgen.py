@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphereq import pointgen
-from sphereq.errors import ConfigurationError, DomainError, SingularKernelError
+from sphereq.errors import ConditioningError, ConfigurationError, DomainError, SingularKernelError
 from sphereq.kernels import (
     KernelSpec,
     is_singular_at_coincidence,
@@ -601,12 +601,25 @@ def test_refine_with_a_huge_exponent_does_not_warn():
     # delta / offset overflows on the first step; numpy used to warn first
     params = RefineParams(k_neighbors=1, iterations=3, offset=5e-324)
     for history in (True, False):
-        with pytest.raises(DomainError, match="coordinates must be finite"):
+        with pytest.raises(DomainError, match="iteration 0 is not finite with offset 5e-324"):
             riesz_refine(random_unit_points(2, seed=1), params, history=history)
 
 
 def test_greedy_with_an_overflowing_kernel_does_not_warn():
     # K = -c (2u)^1997 overflows to -inf on far candidates, and the grid sums
-    # add it to the +inf of a coincident one; numpy used to warn on inf - inf
-    pts = greedy_generate(4, parse_kernel("riesz:s=-2001:d2"), seed=1, grid_size=16)
-    assert np.all(np.isfinite(pts.points))
+    # add it to the +inf of a coincident one; numpy used to warn on inf - inf,
+    # and the nodes placed among the finite rest meant nothing
+    with pytest.raises(ConditioningError):
+        greedy_generate(4, parse_kernel("riesz:s=-2001:d2"), seed=1, grid_size=16)
+
+
+@pytest.mark.parametrize("score", [-math.inf, math.nan])
+def test_greedy_refuses_an_overflowed_grid_score(score):
+    # +inf marks a candidate on a node and is skipped; NaN and -inf mean the
+    # kernel overflowed, and a node picked among the rest would mean nothing
+    grid = candidate_grid(16)
+    pts = PointSet(grid.points.points[:1])
+    scores = np.arange(16.0)
+    scores[0], scores[5] = math.inf, score
+    with pytest.raises(ConditioningError, match=f"pycke overflows on the candidate grid \\(a score is {score}\\)"):
+        pointgen._select_and_polish(pts.points, PYCKE, grid, scores)
