@@ -26,7 +26,9 @@ with, each written once for every order:
 
 :func:`kernel_eval` stops at M_CLOSED_MAX.  The descent derivative
 (:func:`kernel_t_derivative`) of order m is the closed form of order m + 1
-for pycke m >= 1 and riesz; pycke m = 0 and cui-freeden have their own.
+for pycke m >= 1 and riesz, and the second t-derivative that the greedy
+polish's Newton step uses is the closed form of order m + 2; pycke m = 0
+and cui-freeden have their own formulas for both.
 Constant factors are dropped where noted because every downstream use
 (argmin searches, relative comparisons) is scale-invariant.
 """
@@ -241,11 +243,13 @@ def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
         uc /= den
 
 
-def _t_derivative_u(spec: KernelSpec):
-    """d/dt of the closed form of :func:`_eval_u`, as a function of u = r/2 >= 0.
+def _t_derivative_u(spec: KernelSpec, order: int = 1):
+    """d/dt (order 1) or d^2/dt^2 (order 2) of the closed form of
+    :func:`_eval_u`, as a function of u = r/2 >= 0; +inf at u = 0.
 
-    The closed form of order m + 1, except for pycke m = 0 (the m = 1 form
-    drops its 1/(4pi)) and cui-freeden (whose orders are not t-derivatives).
+    The closed form of order m + ``order``, except for pycke m = 0 (the
+    higher forms drop its 1/(4pi)) and cui-freeden (whose orders are not
+    t-derivatives).
     """
     family, m = spec.family, spec.m
     if family not in ("pycke", "cui-freeden", "riesz"):
@@ -253,13 +257,17 @@ def _t_derivative_u(spec: KernelSpec):
     if m > M_CLOSED_MAX:
         raise CapabilityError(f"no descent derivative at order m={m}")
     if family == "riesz" or family == "pycke" and m >= 1:
-        return partial(_eval_u, KernelSpec(family, m + 1, spec.s))
+        return partial(_eval_u, KernelSpec(family, m + order, spec.s))
 
     @np.errstate(divide="ignore", over="ignore")  # +inf at u = 0
     def t_derivative(u: np.ndarray) -> np.ndarray:
         if family == "pycke":
-            return 1.0 / (_FOUR_PI * 2.0 * u * u)
-        return 1.0 / (2.0 ** (m + 1) * u * (1.0 + u) ** (m + 1))
+            if order == 1:
+                return 1.0 / (_FOUR_PI * 2.0 * u * u)
+            return 1.0 / (_FOUR_PI * 4.0 * u**4)
+        if order == 1:
+            return 1.0 / (2.0 ** (m + 1) * u * (1.0 + u) ** (m + 1))
+        return (1.0 + (m + 2) * u) / (2.0 ** (m + 3) * u**3 * (1.0 + u) ** (m + 2))
 
     return t_derivative
 
@@ -293,16 +301,17 @@ def _on_half_chords(spec: KernelSpec, x, evaluate):
     """``evaluate`` on the half-chords of ``x``, shaped as ``x``.
 
     ``x`` is the dot product t in [-1, 1] or the chordal distance r >= 0,
-    per ``spec.convention``; a scalar gives a float.
+    per ``spec.convention``; a scalar gives a float.  The range tests are
+    written so that NaN fails them, and a chordal r must be finite.
     """
     arr = np.asarray(x, dtype=float)
     if spec.convention == DOT_PRODUCT:
-        if np.any(arr < -1.0) or np.any(arr > 1.0):
+        if not np.all((arr >= -1.0) & (arr <= 1.0)):
             raise DomainError("dot-product argument must lie in [-1, 1]")
         u = _half_chords(np.array(arr, ndmin=1))
     else:
-        if np.any(arr < 0.0):
-            raise DomainError("chordal distance must be non-negative")
+        if not np.all((arr >= 0.0) & (arr < math.inf)):
+            raise DomainError("chordal distance must be finite and non-negative")
         u = np.atleast_1d(arr) / 2.0
     out = evaluate(u)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -5,10 +5,13 @@ Three generators:
 * seeded uniform random sampling (normalized Gaussian triples),
 * greedy sequential minimization of the summed kernel against the points
   placed so far (argmin over a spherical Fibonacci grid, then polished by
-  tangent-plane descent whose backtracking line search scores every trial
-  step length in one pass: the trial dots, the half-chords u and the kernel
-  values each fill one reused buffer, and the accepted trial's u row gives
-  the next gradient, so each iteration forms its dots once),
+  tangent-plane descent: each iteration tries one damped Newton step on
+  the 2 x 2 tangent Hessian, built from K'' and three-term dots with the
+  tangent basis, and falls back to a backtracking line search that scores
+  every trial step length in one pass, the trial dots, the half-chords u
+  and the kernel values each filling one reused buffer; the accepted
+  trial's u row gives the next gradient and Hessian, so each iteration
+  forms its dots with the nodes once),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.  The iterate is kept
   component-major, so a step is a few whole-row passes.  The k-NN scan
@@ -157,19 +160,30 @@ def _polish(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Tangent-plane descent of sum_i K(x_i . eta), re-normalized each step.
+    """Tangent-plane descent of f(eta) = sum_i K(x_i . eta) on the sphere.
 
-    Each iteration is a backtracking line search along the negative tangent
-    gradient over the step lengths step0, step0/2, step0/4, ... > tol.  All
-    trial points are normalized and scored in one pass: their dots with the
-    nodes, the half-chords u and the kernel values each fill one reused
-    buffer.  The longest step that lowers the objective is taken, exactly as
-    a sequential halving search would take it, and the u row of that trial
-    gives the next gradient, so no dot is formed twice.  A trial that lands
-    on a node scores +inf and is passed over.  Descent stops when no step
-    lowers the objective, the gradient vanishes, or an accepted step is
-    shorter than ``tol``.  Each trial's row sum is bit for bit the sum of
-    that row alone.
+    Each iteration first tries one damped Newton step.  In the tangent basis
+    e_a = g/|g| (g the tangent gradient) and e_b = eta x e_a, the Hessian is
+    H_ab = sum_i K''(t_i) (x_i . e_a)(x_i . e_b) - (grad f . eta) delta_ab,
+    from the half-chords u the iteration holds and three-term dots with the
+    basis.  When H is finite and positive definite, the step d solving
+    H d = -(|g|, 0), cut to length ``step0`` (the trust region), gives one
+    trial, normalize(eta + d_a e_a + d_b e_b), which is taken if it lowers f.
+
+    Otherwise the iteration is a backtracking line search along -e_a over
+    the step lengths step0, step0/2, step0/4, ... > tol.  All these trials
+    are normalized and scored in one pass: their dots with the nodes, the
+    half-chords u and the kernel values each fill one reused buffer.  The
+    longest step that lowers f is taken, exactly as a sequential halving
+    search would take it.  A trial that lands on a node scores +inf and is
+    passed over.  The u row of the accepted trial gives the next gradient
+    and Hessian, so no dot with the nodes is formed twice.
+
+    Descent stops when the line search finds no lower trial, the gradient
+    vanishes or is not finite, or an accepted step is shorter than ``tol``.
+    No sum over the nodes goes through BLAS, so the result does not depend
+    on its thread count; each trial's row sum is bit for bit the sum of that
+    row alone.
     """
     alphas = []
     alpha = step0
@@ -179,7 +193,8 @@ def _polish(
     alphas = np.array(alphas)[:, None]
     shape = (alphas.shape[0], pts.shape[0])
     u, vals = np.empty(shape), np.empty(shape)
-    t_derivative = _t_derivative_u(spec)
+    p, ab = np.ascontiguousarray(pts.T), np.empty((2, pts.shape[0]))
+    t_derivative, t_second = _t_derivative_u(spec), _t_derivative_u(spec, 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         row = _dot_rows(eta[None, :], pts)
         f = np.sum(_half_chord_kernel(spec, row, 1.0), axis=1)[0]
@@ -187,11 +202,36 @@ def _polish(
         for _ in range(max_iter):
             dk = t_derivative(u_eta)
             grad = np.sum(dk[:, None] * pts, axis=0)
-            g_t = grad - np.dot(grad, eta) * eta
+            radial = np.dot(grad, eta)
+            g_t = grad - radial * eta
             g_norm = float(np.sqrt(np.dot(g_t, g_t)))
             if g_norm == 0.0 or not math.isfinite(g_norm):
                 break
-            trials = eta - alphas * (g_t / g_norm)
+            e_a = g_t / g_norm
+            (x, y, z), (a, b, c) = eta.tolist(), e_a.tolist()
+            e_b = np.array([y * c - z * b, z * a - x * c, x * b - y * a])  # eta x e_a
+            _dot_block(np.column_stack([e_a, e_b]), p, ab)
+            w = t_second(u_eta)
+            wa = w * ab[0]
+            d = _newton_step(
+                g_norm,
+                float(np.sum(wa * ab[0])) - radial,
+                float(np.sum(wa * ab[1])),
+                float(np.sum(w * ab[1] * ab[1])) - radial,
+                step0,
+            )
+            if d is not None:
+                trial = eta + d[0] * e_a + d[1] * e_b
+                trial /= math.sqrt(float(np.dot(trial, trial)))
+                _dot_rows(trial[None, :], pts, out=u[:1])
+                f_trial = np.sum(_half_chord_kernel(spec, u[:1], 1.0, vals[:1]), axis=1)[0]
+                if f_trial < f:
+                    step = float(np.sqrt(np.sum((trial - eta) ** 2)))
+                    eta, f, u_eta = trial, f_trial, u[0]
+                    if step < tol:
+                        break
+                    continue
+            trials = eta - alphas * e_a
             # np.vecdot rounds as np.dot does on one row; np.sum(v * v) does not
             trials /= np.sqrt(np.vecdot(trials, trials))[:, None]
             _dot_rows(trials, pts, out=u)
@@ -205,6 +245,23 @@ def _polish(
             if step < tol:
                 break
     return eta
+
+
+def _newton_step(
+    g_norm: float, h_aa: float, h_ab: float, h_bb: float, radius: float
+) -> tuple[float, float] | None:
+    """Tangent coordinates d solving H d = -(g_norm, 0), cut to length
+    ``radius``; None when H is not finite and positive definite."""
+    det = h_aa * h_bb - h_ab * h_ab
+    if not (h_aa > 0.0 and det > 0.0 and math.isfinite(det)):
+        return None
+    d_a, d_b = -g_norm * h_bb / det, g_norm * h_ab / det
+    length = math.sqrt(d_a * d_a + d_b * d_b)
+    if not math.isfinite(length):
+        return None
+    if length > radius:
+        d_a, d_b = d_a * (radius / length), d_b * (radius / length)
+    return d_a, d_b
 
 
 @np.errstate(invalid="ignore")  # an overflowed K makes inf - inf, a NaN score

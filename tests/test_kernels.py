@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ def test_domain_validation():
         KernelSpec("riesz")  # missing exponent
     with pytest.raises(DomainError):
         KernelSpec("pycke", s=1.0)
+
+
+def test_front_end_refuses_nan_and_a_non_finite_chord():
+    # a range test written as t < -1 or t > 1, or r < 0, lets NaN through
+    for spec in (PYCKE, CF, KernelSpec("riesz", s=1.0)):
+        chordal = spec.with_convention(CHORDAL)
+        for fn in (kernel_eval, kernel_t_derivative):
+            for t in (math.nan, np.array([0.2, math.nan])):
+                with pytest.raises(DomainError, match=r"must lie in \[-1, 1\]"):
+                    fn(spec, t)
+            for r in (math.nan, math.inf, np.array([0.5, math.inf])):
+                with pytest.raises(DomainError, match="must be finite and non-negative"):
+                    fn(chordal, r)
 
 
 # --- derivative kernels -----------------------------------------------------
@@ -323,6 +337,24 @@ def test_next_order_is_the_t_derivative(spec):
     for t in (-0.8, -0.5, -0.2, 0.3, 0.4, 0.7, 0.8):
         fd = (kernel_eval(spec, t + h) - kernel_eval(spec, t - h)) / (2 * h)
         assert kernel_eval(up, t) == pytest.approx(fd, rel=1e-6), t
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec(family, m=m) for family in ("pycke", "cui-freeden") for m in range(3)]
+    + [KernelSpec("riesz", m=m, s=s) for s in (0.0, 1.0, -0.5, 2.5) for m in (0, 1)],
+    ids=lambda s: s.name,
+)
+def test_second_t_derivative_is_the_derivative_of_the_descent_derivative(spec):
+    h = 1e-6
+    second = _t_derivative_u(spec, 2)
+    for t in (-0.8, -0.5, -0.2, 0.3, 0.4, 0.7, 0.8):
+        fd = (kernel_t_derivative(spec, t + h) - kernel_t_derivative(spec, t - h)) / (2 * h)
+        got = second(np.array([math.sqrt((1.0 - t) / 2.0)]))[0]
+        assert got == pytest.approx(fd, rel=1e-6), t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert second(np.array([0.0]))[0] == math.inf
 
 
 def test_is_singular_catalog():

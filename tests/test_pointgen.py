@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereq import pointgen
+from sphereq import kernels, pointgen
 from sphereq.errors import ConditioningError, ConfigurationError, DomainError, SingularKernelError
 from sphereq.kernels import (
     KernelSpec,
@@ -50,28 +54,70 @@ def _objective_oracle(pts, spec, eta):
     return float(np.sum(vals))
 
 
+def _newton_trial_oracle(pts, spec, eta, t, grad, g_t, g_norm, step0):
+    """The damped Newton trial from plain K'' sums, or None when the tangent
+    Hessian is not finite and positive definite."""
+    e_a = g_t / g_norm
+    e_b = np.cross(eta, e_a)
+    a = (pts[:, 0] * e_a[0] + pts[:, 1] * e_a[1]) + pts[:, 2] * e_a[2]
+    b = (pts[:, 0] * e_b[0] + pts[:, 1] * e_b[1]) + pts[:, 2] * e_b[2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k2 = kernels._t_derivative_u(spec, 2)(np.sqrt((1.0 - t) / 2.0))
+        radial = float(np.dot(grad, eta))
+        h_aa = float(np.sum(k2 * a * a)) - radial
+        h_ab = float(np.sum(k2 * a * b))
+        h_bb = float(np.sum(k2 * b * b)) - radial
+    det = h_aa * h_bb - h_ab * h_ab
+    if not (h_aa > 0.0 and det > 0.0 and math.isfinite(det)):
+        return None
+    d_a = -g_norm * h_bb / det
+    d_b = g_norm * h_ab / det
+    length = math.sqrt(d_a * d_a + d_b * d_b)
+    if not math.isfinite(length):
+        return None
+    if length > step0:
+        d_a *= step0 / length
+        d_b *= step0 / length
+    trial = eta + d_a * e_a + d_b * e_b
+    return trial / math.sqrt(float(np.dot(trial, trial)))
+
+
+def _objective_or_inf(pts, spec, trial):
+    try:
+        return _objective_oracle(pts, spec, trial)
+    except SingularKernelError:  # trial landed exactly on a node
+        return math.inf
+
+
 def _polish_oracle(eta, pts, spec, step0, tol=1e-10, max_iter=200):
-    """Reference polish: one objective evaluation per backtracking trial."""
+    """Reference polish: a Newton trial first, then one objective evaluation
+    per backtracking trial."""
     f = _objective_oracle(pts, spec, eta)
     for _ in range(max_iter):
         t = _dots(pts, eta)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dk = np.atleast_1d(kernel_t_derivative(spec, t))
-        grad = np.sum(dk[:, None] * pts, axis=0)
+            grad = np.sum(dk[:, None] * pts, axis=0)
         g_t = grad - np.dot(grad, eta) * eta
         g_norm = float(np.sqrt(np.dot(g_t, g_t)))
         if g_norm == 0.0 or not math.isfinite(g_norm):
             break
+        trial = _newton_trial_oracle(pts, spec, eta, t, grad, g_t, g_norm, step0)
+        if trial is not None:
+            f_trial = _objective_or_inf(pts, spec, trial)
+            if f_trial < f:
+                step = float(np.sqrt(np.sum((trial - eta) ** 2)))
+                eta, f = trial, f_trial
+                if step < tol:
+                    return eta
+                continue
         direction = g_t / g_norm
         alpha = step0
         moved = False
         while alpha > tol:
             trial = eta - alpha * direction
             trial /= math.sqrt(float(np.dot(trial, trial)))
-            try:
-                f_trial = _objective_oracle(pts, spec, trial)
-            except SingularKernelError:  # trial landed exactly on a node
-                f_trial = math.inf
+            f_trial = _objective_or_inf(pts, spec, trial)
             if f_trial < f:
                 step = float(np.sqrt(np.sum((trial - eta) ** 2)))
                 eta, f = trial, f_trial
@@ -208,10 +254,12 @@ def test_polish_rejects_trial_on_a_node(name):
 
 @pytest.mark.parametrize("name", ["pycke", "pycke:d1", "pycke:d2"])
 def test_polish_passes_over_one_trial_on_a_node(name):
-    # Nodes a, b and c lie on the great circle y = 0 through eta; descent
-    # from eta steps toward -x.  Of the trials at steps 0.5, 0.25, 0.125, ...
-    # the first scores above eta (it lands near c), the second is b bit for
-    # bit, and the third must still be taken.
+    # Nodes a, b and c lie on the great circle y = 0 through eta, all with
+    # t > 0, so the tangent Hessian at eta is indefinite (its e_y entry is
+    # -grad f . eta < 0) and the first iteration is the line search toward
+    # -x.  Of its trials at steps 0.5, 0.25, 0.125, ... the first scores
+    # above eta (it lands near c), the second is b bit for bit, and the
+    # third must still be taken.
     eta = np.array([0.0, 0.0, 1.0])
 
     def trial(alpha):
@@ -272,15 +320,22 @@ def test_polish_is_bit_identical_to_the_oracle(name, n, seed, step0, plant, j, k
         # Nodes on the great circle y = 0 through eta = e_z give a gradient
         # with no y part, so the first descent direction is +-e_x exactly,
         # whatever the nodes.  Plant a node on the j-th trial toward +x and
-        # one on the k-th toward -x, or one on eta itself.
+        # one on the k-th toward -x, or one on eta itself.  The nodes lie in
+        # the upper half, t > 0, where every K here has K' > 0, so
+        # grad f . eta > 0.  As every x_i . e_y is 0, the tangent Hessian's
+        # e_y entry is -grad f . eta < 0: it is indefinite, and the first
+        # iteration runs the batched line search over the planted trials.
         eta = np.array([0.0, 0.0, 1.0])
-        theta = np.random.default_rng(seed).uniform(-math.pi, math.pi, n)
+        theta = np.random.default_rng(seed).uniform(-math.pi / 2, math.pi / 2, n)
         nodes = np.column_stack([np.sin(theta), np.zeros(n), np.cos(theta)])
         if plant == "trials":
             extra = [_x_trial(eta, step0 * 0.5**j, 1.0), _x_trial(eta, step0 * 0.5**k, -1.0)]
         else:
             extra = [eta]
         nodes = np.vstack([nodes] + extra)
+        if plant == "trials":
+            dk = kernel_t_derivative(spec, _dots(nodes, eta))
+            assert float(np.dot(np.sum(dk[:, None] * nodes, axis=0), eta)) > 0.0
     out = pointgen._polish(eta, nodes, spec, step0)
     if plant == "eta" and is_singular_at_coincidence(spec):
         # the oracle raises here; eta scores +inf and its gradient is not
@@ -377,6 +432,47 @@ def test_greedy_monotone_improvement():
         d_big = rms_discrepancy(big, CF, INCLUDE).value
         d_small = rms_discrepancy(small, CF, INCLUDE).value
         assert d_big < d_small
+
+
+@pytest.mark.parametrize("name", ["pycke", "pycke:d1", "pycke:d2", "cui-freeden", "riesz:s=1"])
+def test_greedy_nodes_sit_at_or_below_the_grid_optimum(name):
+    # The polish starts at the grid argmin and takes only steps that lower
+    # the summed kernel, so no node may end above the best grid point.
+    spec = parse_kernel(name)
+    grid = candidate_grid(1024).points.points
+    for seed in range(1, 5):
+        nodes = greedy_generate(40, spec, seed=seed, grid_size=1024).points
+        sums = np.zeros(len(grid))
+        for k in range(1, len(nodes)):
+            t = _dots(grid, nodes[k - 1])
+            hit = t >= _COINCIDENCE_T if is_singular_at_coincidence(spec) else t > 1.0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                vals = kernel_eval(spec, np.where(hit, 0.0, t))
+            vals[hit] = np.inf
+            sums += vals
+            terms = kernel_eval(spec, _dots(nodes[:k], nodes[k]))
+            slack = (np.sum(terms) - np.min(sums)) / np.sum(np.abs(terms))
+            assert slack <= 1e-12, (seed, k, slack)
+
+
+def test_greedy_nodes_do_not_depend_on_the_blas_thread_count():
+    script = (
+        "import sys; from sphereq.kernels import parse_kernel; "
+        "from sphereq.pointgen import greedy_generate; "
+        "sys.stdout.write(greedy_generate(40, parse_kernel('pycke:d2'), seed=3, "
+        "grid_size=1024).points.tobytes().hex())"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        outs.append(done.stdout)
+    assert len(outs[0]) == 40 * 3 * 8 * 2
+    assert outs[0] == outs[1]
 
 
 # --- k nearest neighbors ------------------------------------------------------------
