@@ -25,6 +25,7 @@ from .errors import (
     PointSetFormatError,
     PointSetValidationError,
     SingularKernelError,
+    require,
 )
 from .discrepancy import (
     PointSet,
@@ -48,8 +49,8 @@ def _number(text: str, kind, what: str):
 
 def _parse_seeds(text: str) -> list[int]:
     seeds = [_number(p, int, "seed list") for p in text.split(",") if p.strip()]
-    if not seeds or min(seeds) < 0:
-        raise DomainError("seed list must be comma-separated non-negative integers")
+    rule = "seed list must be comma-separated non-negative integers"
+    require(seeds != [] and min(seeds) >= 0, rule)
     return seeds
 
 
@@ -59,12 +60,9 @@ def _parse_grid(text: str) -> list[float]:
         if len(fields) != 3:
             raise DomainError("epsilon grid must be start:stop:step")
         start, stop, step = (_number(p, float, "epsilon grid") for p in fields)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-            raise DomainError(
-                "epsilon grid must be start:stop:step, finite, with stop >= start and step > 0"
-            )
-        if not (stop - start) / step < 1e6:
-            raise DomainError("epsilon grid must have fewer than a million points")
+        rule = "epsilon grid must be start:stop:step, finite, with stop >= start and step > 0"
+        require(-math.inf < start <= stop < math.inf and 0.0 < step < math.inf, rule)
+        require((stop - start) / step < 1e6, "epsilon grid must have fewer than a million points")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     return [_number(p, float, "epsilon grid") for p in text.split(",") if p.strip()]

@@ -13,8 +13,8 @@ All pair sums accumulate in fixed index order with compensated block merging,
 so reports are bit-identical from run to run.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
-A block of 64 rows i0:i1 builds the dots for the columns j >= i0 with one
-``einsum`` contraction (:func:`_dot_block`, which the greedy polish, the
+A block of PAIR_ROWS rows i0:i1 builds the dots for the columns j >= i0 with
+one ``einsum`` contraction (:func:`_dot_block`, which the greedy polish, the
 grid update and the k-NN scan share) in a prefix of one buffer that the
 call allocates, scans them for coincident pairs when the kernel is singular
 there, maps them in place to the half-chord u = sqrt((1 - t)/2) and
@@ -50,11 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
+from .errors import require, whole
 from .kernels import (
     KernelSpec,
     SymbolSequence,
     _half_chords,
     _kernel_eval_u,
+    _truncation,
     is_singular_at_coincidence,
 )
 from .legendre import derivative_recurrence
@@ -65,6 +67,9 @@ EXCLUDE = "exclude"
 
 #: Highest derivative order accepted by the series evaluators.
 M_SERIES_MAX = 4
+
+#: Rows per block of the closed-form pair sums and the measure forms.
+PAIR_ROWS = 64
 
 #: Highest truncation degree of the spectral route.  On random points its
 #: unscaled associated-Legendre recurrence matched the Gram route to 1e-13 N
@@ -84,15 +89,12 @@ class PointSet:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise DomainError("points must be an (N, 3) array")
-        if pts.shape[0] < 1:
-            raise DomainError("a point set holds at least one point")
-        if not np.isfinite(pts).all():
-            raise DomainError("point coordinates must be finite")
-        norms = np.sqrt(np.sum(pts * pts, axis=1))
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise DomainError("every point must have unit norm (within 1e-12)")
+        require(pts.ndim == 2 and pts.shape[1] == 3, "points must be an (N, 3) array")
+        require(pts.shape[0] >= 1, "a point set holds at least one point")
+        require(np.isfinite(pts), "point coordinates must be finite")
+        with np.errstate(over="ignore"):  # a huge coordinate fails the norm test
+            norms = np.sqrt(np.sum(pts * pts, axis=1))
+        require(np.abs(norms - 1.0) <= 1e-12, "every point must have unit norm (within 1e-12)")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -108,8 +110,8 @@ class WeightedMeasure:
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=float).ravel()
-        if w.size != len(self.points):
-            raise DomainError("weight count must equal point count")
+        require(w.size == len(self.points), "weight count must equal point count")
+        require(np.isfinite(w), "measure weights must be finite")
         object.__setattr__(self, "weights", w)
 
 
@@ -207,7 +209,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
     p = pts.points
     n = len(p)
     exclude = diagonal_policy == EXCLUDE
-    buf = np.empty(n * min(n, 64))
+    buf = np.empty(n * min(n, PAIR_ROWS))
 
     def row_block(i0: int, i1: int) -> float:
         b = i1 - i0
@@ -236,7 +238,8 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
             k[d, d] = 0.0
         return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
 
-    return _finite(neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)]))
+    blocks = range(0, n, PAIR_ROWS)
+    return _finite(neumaier_sum([row_block(i, min(i + PAIR_ROWS, n)) for i in blocks]))
 
 
 def rms_discrepancy(
@@ -341,13 +344,6 @@ def _differentiate_sums(sums: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_series_args(m: int, n_max: int) -> None:
-    if n_max < 1:
-        raise DomainError("series truncation must be >= 1")
-    if m < 0 or m > M_SERIES_MAX:
-        raise CapabilityError(f"series derivative order limited to 0..{M_SERIES_MAX}")
-
-
 def _series_report(
     sums: np.ndarray,
     n_points: int,
@@ -404,9 +400,7 @@ def series_generalized_discrepancy(
     more than 1e-3 of the total).  The route to the power sums is chosen
     from the input, as the module docstring describes.
     """
-    _check_series_args(m, n_max)
-    weights = SymbolSequence(family, s).series_weights(n_max)
-    return _series_report(_power_sums(pts, n_max), len(pts), weights, family, m, s)
+    return min_generalized_discrepancy(pts, family, (m,), n_max, s)[1]
 
 
 def min_generalized_discrepancy(
@@ -421,11 +415,11 @@ def min_generalized_discrepancy(
     The power sums are computed once and reweighted for every order, so the
     winning report equals :func:`series_generalized_discrepancy` at m*.
     """
-    orders = sorted(set(int(m) for m in m_range))
-    if not orders:
-        raise DomainError("m_range must be non-empty")
-    for m in orders:
-        _check_series_args(m, n_max)
+    orders = sorted({whole(m, "derivative order must be a non-negative integer") for m in m_range})
+    require(orders != [], "m_range must be non-empty")
+    if orders[-1] > M_SERIES_MAX:
+        raise CapabilityError(f"series derivative order limited to 0..{M_SERIES_MAX}")
+    n_max = _truncation(n_max)
     weights = SymbolSequence(family, s).series_weights(n_max)
     sums = _power_sums(pts, n_max)
     best_m = None
@@ -455,7 +449,8 @@ def measure_inner_product(
         k = _kernel_eval_u(spec, _half_chords(_dot_rows(pa[i0:i1], pb)))
         return block_sum(k * (wa[i0:i1][:, None] * wb[None, :]))
 
-    return _finite(neumaier_sum([row_block(i, min(i + 64, n)) for i in range(0, n, 64)]))
+    blocks = range(0, n, PAIR_ROWS)
+    return _finite(neumaier_sum([row_block(i, min(i + PAIR_ROWS, n)) for i in blocks]))
 
 
 def signed_discrepancy(

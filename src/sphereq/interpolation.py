@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import CapabilityError, ConditioningError, ConfigurationError, DomainError
+from .errors import require, whole
 from .discrepancy import PointSet
 from .kernels import (
     CHORDAL,
@@ -43,9 +44,11 @@ from .kernels import (
 )
 
 
+@np.errstate(over="ignore")  # far from the origin every term is exp(-inf) = 0
 def franke_eval(p):
     """Four-Gaussian scattered-data benchmark target, defined on all of R^3."""
     p = np.asarray(p, dtype=float)
+    require(np.isfinite(p), "point coordinates must be finite")
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     t1 = 0.75 * np.exp(
         -((9 * x - 2) ** 2) / 4 - ((9 * y - 2) ** 2) / 4 - ((9 * z - 2) ** 2) / 4
@@ -61,13 +64,14 @@ def franke_eval(p):
     return float(out) if out.ndim == 0 else out
 
 
-def monomial_basis(points: np.ndarray, degree: int) -> np.ndarray:
+def monomial_basis(points, degree: int) -> np.ndarray:
     """(N, M) matrix of 3-variable monomials of total degree <= degree.
 
-    degree -1 means no polynomial tail (M = 0); degree 1 gives the four
-    monomials 1, x, y, z.
+    ``points`` is a :class:`PointSet` or unit vectors that pass as one; a
+    negative degree means no tail (M = 0), and degree 1 gives 1, x, y, z.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    degree = whole(degree, "polynomial degree must be an integer", low=-math.inf, array_of="degree")
+    points = (points if isinstance(points, PointSet) else PointSet(np.atleast_2d(points))).points
     n = points.shape[0]
     if degree < 0:
         return np.zeros((n, 0))
@@ -116,13 +120,13 @@ def _checked_y(centers, y, epsilon, sigma) -> np.ndarray:
 
     ``epsilon`` None skips the shape check, for a sweep that checks its grid.
     """
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        raise DomainError("shape parameter must be positive and finite")
-    if not (0.0 <= sigma and math.isfinite(sigma * sigma)):  # sigma^2 enters G
-        raise DomainError("smoothing parameter must be non-negative, with a finite square")
+    if epsilon is not None:
+        require(0.0 < epsilon < math.inf, "shape parameter must be positive and finite")
+    rule = "smoothing parameter must be non-negative, with a finite square"  # sigma^2 enters G
+    require(0.0 <= sigma and sigma * sigma < math.inf, rule)
     y = np.asarray(y, dtype=float).ravel()
-    if y.size != len(centers):
-        raise DomainError("one observation per center required")
+    require(y.size == len(centers), "one observation per center required")
+    require(np.isfinite(y), "observations must be finite")
     return y
 
 
@@ -132,7 +136,7 @@ def _geometry(centers, poly_degree):
     r = _chordal(pts, pts)
     if np.count_nonzero(r == 0.0) > np.count_nonzero(r.diagonal() == 0.0):
         raise DomainError("duplicate interpolation centers")
-    return r, monomial_basis(pts, poly_degree)
+    return r, monomial_basis(centers, poly_degree)
 
 
 def _saddle(r, p, spec, epsilon, sigma):
@@ -148,8 +152,8 @@ def _saddle(r, p, spec, epsilon, sigma):
     singular = is_singular_at_coincidence(spec)
     if singular and sigma <= 0.0:
         raise CapabilityError(f"{spec.name} is singular at r=0: fitting requires sigma > 0")
-    if epsilon < 0.0 and n > 1:  # r > 0 off the diagonal, so eps r has a negative
-        raise DomainError("chordal distance must be non-negative")
+    # r > 0 off the diagonal, so a negative eps gives a negative eps r
+    require(epsilon >= 0.0 or n == 1, "chordal distance must be non-negative")
     g, diag = np.empty((n + m, n + m), order="F"), np.arange(n)
     block = np.multiply(r, epsilon / 2.0, out=g[:n, :n])
     _kernel_eval_u(spec, block, out=block)
@@ -179,12 +183,13 @@ def fit_interpolant(
                             poly_degree=poly_degree, w=coeff[:n], b=coeff[n:])
 
 
+@np.errstate(over="ignore")  # an eps r beyond the float range fails kernel_eval
 def interpolant_eval(model: InterpolantModel, p):
     """Evaluate the fitted interpolant at one or many unit vectors."""
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
-    q = np.atleast_2d(p)
-    r = _chordal(q, model.centers.points)
+    q = PointSet(np.atleast_2d(p))
+    r = _chordal(q.points, model.centers.points)
     k = kernel_eval(model.spec.with_convention(CHORDAL), model.epsilon * r)
     out = k @ model.w
     if model.b.size:
@@ -202,12 +207,11 @@ def loocv_errors_slow(
 ) -> np.ndarray:
     """Leave-one-out errors by N refits (the O(N^4) definitional oracle).
 
-    Entries where the reduced system is singular are reported as NaN.
+    Entries where the reduced system is singular are NaN; a refused argument raises.
     """
     y = _checked_y(centers, y, epsilon, sigma)
     n = len(centers)
-    if n < 3:
-        raise DomainError("leave-one-out needs at least 3 centers")
+    require(n >= 3, "leave-one-out needs at least 3 centers")
     errors = np.empty(n)
     for v in range(n):
         keep = np.arange(n) != v
@@ -215,7 +219,7 @@ def loocv_errors_slow(
         try:
             model = fit_interpolant(sub, y[keep], spec, epsilon, sigma, poly_degree)
             pred = interpolant_eval(model, centers.points[v])
-        except (ConditioningError, DomainError):
+        except ConditioningError:
             errors[v] = np.nan
             continue
         errors[v] = y[v] - pred
@@ -329,8 +333,8 @@ def epsilon_sweep(
 ) -> SweepReport:
     """Grid-minimize the LOOCV mean square error over the shape parameter."""
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
-        raise DomainError("epsilon grid must be non-empty and positive, with finite values")
+    rule = "epsilon grid must be non-empty and positive, with finite values"
+    require(eps_grid != [] and all(0.0 < e < math.inf for e in eps_grid), rule)
     y = _checked_y(centers, y, None, sigma)
     try:
         r, p = _geometry(centers, poly_degree)
@@ -340,7 +344,8 @@ def epsilon_sweep(
     for eps in eps_grid:
         try:
             errs = _loocv(_saddle(r, p, spec, eps, sigma), y)
-            mse = float(np.mean(errs**2))
+            with np.errstate(over="ignore"):  # an overflow is caught below
+                mse = float(np.mean(errs**2))
             if not math.isfinite(mse):
                 raise ConditioningError("non-finite cross-validation error")
             report.rows.append((eps, mse, "ok"))

@@ -44,6 +44,7 @@ import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
+from .errors import require, whole
 from .legendre import derivative_recurrence
 
 FAMILIES = ("pycke", "cui-freeden", "gine", "ajne", "riesz")
@@ -70,13 +71,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}")
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError("derivative order must be a non-negative integer")
+        m = whole(self.m, "derivative order must be a non-negative integer")
+        object.__setattr__(self, "m", m)
         if self.family == "riesz":
             if self.s is None:
                 raise DomainError("riesz kernel requires the exponent s")
-            if not math.isfinite(self.s):
-                raise DomainError("riesz exponent s must be finite")
+            require(-math.inf < self.s < math.inf, "riesz exponent s must be finite")
             if self.shifted and self.s >= 2:
                 raise CapabilityError("shifted riesz form requires s < 2")
         elif self.s is not None:
@@ -306,12 +306,10 @@ def _on_half_chords(spec: KernelSpec, x, evaluate):
     """
     arr = np.asarray(x, dtype=float)
     if spec.convention == DOT_PRODUCT:
-        if not np.all((arr >= -1.0) & (arr <= 1.0)):
-            raise DomainError("dot-product argument must lie in [-1, 1]")
+        require((arr >= -1.0) & (arr <= 1.0), "dot-product argument must lie in [-1, 1]")
         u = _half_chords(np.array(arr, ndmin=1))
     else:
-        if not np.all((arr >= 0.0) & (arr < math.inf)):
-            raise DomainError("chordal distance must be finite and non-negative")
+        require((arr >= 0.0) & (arr < math.inf), "chordal distance must be finite and non-negative")
         u = np.atleast_1d(arr) / 2.0
     out = evaluate(u)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -370,15 +368,16 @@ def kernel_uniform_mean(spec: KernelSpec) -> float:
 
 
 def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
-    """A_n^2 for degree n >= 1, or ``None`` where the mode is absent.
+    """A_n^2 for degree 1 <= n < 2^53, or ``None`` where the mode is absent.
 
     Gine has no odd modes and ajne no even modes (their symbols are infinite
     there, so the mode contributes nothing to any reciprocal-symbol series).
-    Gamma ratios go through log-gamma to stay finite for large n.
+    Gamma ratios go through log-gamma to stay finite for large n; where that
+    gives NaN (at the gamma poles of an even negative s, or for a huge |s|),
+    the riesz symbol raises :class:`ConditioningError`.
     """
-    if n < 1 or n != int(n):
-        raise DomainError("symbol degree must be a positive integer")
-    n = int(n)
+    n = whole(n, "symbol degree must be a positive integer below 2**53", low=1)
+    require(n < 2**53, "symbol degree must be a positive integer below 2**53")
     if family == "pycke":
         return float(n * (n + 1))
     if family == "cui-freeden":
@@ -396,6 +395,7 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
     if family == "riesz":
         if s is None:
             raise DomainError("riesz symbol requires the exponent s")
+        require(-math.inf < s < math.inf, "riesz exponent s must be finite")
         if s == 0.0:
             return n * (n + 1) / _FOUR_PI
         with np.errstate(invalid="ignore"):  # inf - inf at the gamma poles is NaN
@@ -409,9 +409,12 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
             )
         sign = gammasgn(s / 2.0) * gammasgn(1.0 - s / 2.0)
         try:
-            return float(sign * math.exp(log_mag))
+            value = float(sign * math.exp(log_mag))
         except OverflowError:
             return float(sign * math.inf)
+        if math.isnan(value):
+            raise ConditioningError(f"riesz symbol at degree {n} is nan")
+        return value
     raise DomainError(f"unknown kernel family {family!r}")
 
 
@@ -441,6 +444,12 @@ class SymbolSequence:
         return w
 
 
+def _truncation(n_max) -> int:
+    """``n_max`` as an int, by the rule every series entry point shares."""
+    rule = "series truncation must be an integer >= 1"
+    return whole(n_max, rule, low=1, array_of="series truncation")
+
+
 class SeriesEval(NamedTuple):
     value: float
     tail_estimate: float
@@ -456,11 +465,10 @@ def kernel_series_eval(
     agree up to an affine recalibration of the overall constant convention.
     ``tail_estimate`` is the magnitude of the last contributing term.
     """
-    if n_max < 1:
-        raise DomainError("series truncation must be >= 1")
+    m = whole(m, "derivative order must be a non-negative integer", array_of="derivative order")
+    n_max = _truncation(n_max)
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(arr) > 1.0):
-        raise DomainError("series argument must lie in [-1, 1]")
+    require((arr >= -1.0) & (arr <= 1.0), "series argument must lie in [-1, 1]")
     weights = SymbolSequence(family, s).series_weights(n_max)
     total = np.zeros_like(arr)
     tail = np.zeros_like(arr)

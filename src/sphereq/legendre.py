@@ -19,23 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, require, whole
 
 #: Largest degree for which the exact rational oracle is built.
 N_EXACT_MAX = 60
 
-
-def _check_x(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise DomainError("legendre argument must lie in [-1, 1]")
-    return arr
-
-
-def _check_degree(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise DomainError("degree must be a non-negative integer")
-    return int(n)
+_DEGREE = "degree must be a non-negative integer"
 
 
 def legendre_eval(n: int, x):
@@ -61,16 +50,14 @@ def legendre_derivative_eval(n: int, m: int, x):
     For ``m == 0`` this is P_n itself; for ``m > n`` the result is exactly
     zero.
     """
-    n = _check_degree(n)
-    if m != int(m) or m < 0:
-        raise DomainError("derivative order must be a non-negative integer")
-    m = int(m)
-    arr = _check_x(x)
+    n = whole(n, _DEGREE)
+    m = whole(m, "derivative order must be a non-negative integer")
+    arr = np.asarray(x, dtype=float)
+    require((arr >= -1.0) & (arr <= 1.0), "legendre argument must lie in [-1, 1]")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if m > n:
-        out = np.zeros_like(arr)
-        return 0.0 if scalar else out
+        return 0.0 if scalar else np.zeros_like(arr)
     for table in derivative_recurrence(n, m, arr):
         pass
     values = table[m]
@@ -110,27 +97,23 @@ def derivative_recurrence(n_max: int, m: int, x: np.ndarray) -> Iterator[np.ndar
 
 def legendre_norm(n: int) -> float:
     """L2 norm of P_n over [-1, 1]: sqrt(2 / (2n + 1))."""
-    n = _check_degree(n)
-    return math.sqrt(2.0 / (2 * n + 1))
+    n = whole(n, _DEGREE)
+    return math.sqrt(1.0 / (n + 0.5))  # 2 / (2n + 1), without an int too large for a float
 
 
 def harmonic_dimension(d: int, n: int) -> int:
     """Dimension of the space of degree-n spherical harmonics on S^d.
 
-    Computed exactly as ``(2n+d-1) * (n+d-2)! / ((d-1)! n!)`` with integer
-    arithmetic; for d = 2 this reduces to 2n + 1.
+    Computed exactly as C(n+d, d) - C(n+d-2, d), the dimension of the
+    homogeneous polynomials of degree n in d + 1 variables less that of
+    degree n - 2; for d = 2 this reduces to 2n + 1.  ``math.comb`` works
+    from the smaller side, so a huge n or d alone stays cheap.
     """
-    if d != int(d) or d < 1:
-        raise DomainError("sphere dimension must be a positive integer")
-    n = _check_degree(n)
-    d = int(d)
+    d = whole(d, "sphere dimension must be a positive integer", low=1)
+    n = whole(n, _DEGREE)
     if n == 0:
         return 1
-    z = Fraction(2 * n + d - 1) * Fraction(
-        math.factorial(n + d - 2), math.factorial(d - 1) * math.factorial(n)
-    )
-    assert z.denominator == 1
-    return int(z)
+    return math.comb(n + d, d) - math.comb(n + d - 2, d)
 
 
 @dataclass(frozen=True)
@@ -141,10 +124,9 @@ class PolynomialCoefficients:
     coeffs: tuple
 
     def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must equal degree + 1")
-        if self.degree >= 1 and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
+        degree = whole(self.degree, _DEGREE)
+        require(len(self.coeffs) == degree + 1, "coefficient count must equal degree + 1")
+        require(degree == 0 or self.coeffs[-1] != 0, "leading coefficient must be nonzero")
 
     def evaluate(self, x):
         """Horner evaluation; exact when ``x`` is a Fraction or int."""
@@ -172,7 +154,7 @@ def rodrigues_coefficients(n: int) -> PolynomialCoefficients:
     P_n(x) = 1/(2^n n!) d^n/dx^n (x^2 - 1)^n, expanded with rational
     arithmetic.  Limited to ``n <= N_EXACT_MAX`` to keep the expansion cheap.
     """
-    n = _check_degree(n)
+    n = whole(n, _DEGREE)
     if n > N_EXACT_MAX:
         raise CapabilityError(
             f"exact Rodrigues expansion supported up to degree {N_EXACT_MAX}"

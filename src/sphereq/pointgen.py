@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError, DomainError
+from .errors import ConditioningError, ConfigurationError, DomainError, require, whole
 from .discrepancy import (
     _COINCIDENCE_T,
     PointSet,
@@ -56,6 +56,11 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 #: Row block of the k-NN scan: a (KNN_ROWS, N) distance block at a time.
 KNN_ROWS = 128
 
+#: The Riesz descent recomputes its neighbors every KNN_REFRESH iterations.
+KNN_REFRESH = 10
+
+_POINT_COUNT = "point count must be a positive integer"
+
 
 @dataclass(frozen=True)
 class RefineParams:
@@ -65,19 +70,14 @@ class RefineParams:
     iterations: int = 200
     riesz_s: float = 1.0
     offset: float = 19.0
-    refresh_period: int = 10
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise DomainError("k_neighbors must be positive")
-        if self.iterations < 1:
-            raise DomainError("iterations must be >= 1")
-        if not 0.0 < self.riesz_s < math.inf:
-            raise DomainError("riesz exponent must be positive and finite")
-        if not 0.0 < self.offset < math.inf:
-            raise DomainError("step offset must be positive and finite")
-        if self.refresh_period < 1:
-            raise DomainError("refresh period must be positive")
+        k = whole(self.k_neighbors, "k_neighbors must be a positive integer", low=1)
+        object.__setattr__(self, "k_neighbors", k)
+        iterations = whole(self.iterations, "iterations must be an integer >= 1", low=1)
+        object.__setattr__(self, "iterations", iterations)
+        require(0.0 < self.riesz_s < math.inf, "riesz exponent must be positive and finite")
+        require(0.0 < self.offset < math.inf, "step offset must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,10 @@ class CandidateGrid:
     points: PointSet
 
 
-def _check_count(count: int, what: str) -> None:
-    """Refuse a count whose (count, 3) float array numpy cannot index."""
-    if int(count) * 24 > np.iinfo(np.intp).max:
-        raise DomainError(f"{what} {count} is too large for an array")
-
-
 def random_unit_points(n: int, seed: int) -> PointSet:
     """n independent uniform points: normalized standard-normal triples."""
-    if n < 1:
-        raise DomainError("need at least one point")
-    _check_count(n, "point count")
-    if seed < 0:
-        raise DomainError("seed must be a non-negative integer")
+    n = whole(n, _POINT_COUNT, low=1, array_of="point count")
+    seed = whole(seed, "seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, 3))
     norms = np.sqrt(np.sum(pts * pts, axis=1))
@@ -113,9 +104,7 @@ def random_unit_points(n: int, seed: int) -> PointSet:
 
 def candidate_grid(m: int) -> CandidateGrid:
     """Spherical Fibonacci lattice of m points (m >= 16)."""
-    if m < 16:
-        raise DomainError("candidate grid needs at least 16 points")
-    _check_count(m, "candidate grid size")
+    m = whole(m, "candidate grid needs 16 or more points", low=16, array_of="candidate grid size")
     i = np.arange(m, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / m
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -315,9 +304,7 @@ def greedy_generate(
     singular at coincidence, a grid candidate that coincides with a placed
     node is skipped; the errors are those of :func:`greedy_next`.
     """
-    if n < 1:
-        raise DomainError("need at least one point")
-    _check_count(n, "point count")
+    n = whole(n, _POINT_COUNT, low=1, array_of="point count")
     grid = candidate_grid(grid_size)
     first = greedy_initial(seed)
     out = np.empty((n, 3))
@@ -339,8 +326,7 @@ def knn_indices(pts: PointSet, k: int) -> np.ndarray:
     in a prefix of one buffer, so no N x N array is made.
     """
     n = len(pts)
-    if k < 1:
-        raise DomainError("k must be positive")
+    k = whole(k, "k must be a positive integer", low=1)
     if k >= n:
         raise DomainError("k must be smaller than the number of points")
     p = np.ascontiguousarray(pts.points.T)
@@ -393,7 +379,7 @@ def riesz_refine(
     repulsion sum g_i = s * sum_k (x_i - x_j) / |x_i - x_j|^(s+2) over the
     cached nearest neighbors, then steps along g_i / |g_i| scaled by the
     current nearest-neighbor distance over (t + offset), and re-normalizes.
-    Neighbor indices refresh every ``refresh_period`` iterations.  The
+    Neighbor indices refresh every KNN_REFRESH iterations.  The
     iterate is kept component-major, (3, N) with the neighbors as (k, N),
     so every step is a few whole-row passes; sums over the three components
     go (c0 + c1) + c2 and sums over the neighbors go in neighbor order.
@@ -408,15 +394,12 @@ def riesz_refine(
     mean-pair score of the iterate; ``history=False`` skips it and returns
     an empty list.
     """
-    n = len(pts)
-    if params.k_neighbors >= n:
-        raise DomainError("k_neighbors must be smaller than the point count")
     x = np.ascontiguousarray(pts.points.T)
     s = params.riesz_s
     scores: list[float] = []
     neighbors = None
     for t in range(params.iterations):
-        if t % params.refresh_period == 0:
+        if t % KNN_REFRESH == 0:
             neighbors = knn_indices(PointSet(x.T), params.k_neighbors).T.copy()
         diff = [xc - xc[neighbors] for xc in x]  # each (k, N)
         dist = np.sqrt((diff[0] * diff[0] + diff[1] * diff[1]) + diff[2] * diff[2])

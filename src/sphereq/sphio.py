@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PointSetFormatError, PointSetValidationError
+from .errors import PointSetFormatError, PointSetValidationError, require
 from .discrepancy import PointSet
 
 _NORM_TOLERANCE = 1e-6
@@ -19,20 +19,18 @@ _NORM_TOLERANCE = 1e-6
 
 def spherical_to_cartesian(theta: float, phi: float) -> np.ndarray:
     """Unit vector from polar angle theta in [0, pi], azimuth phi in [0, 2pi)."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError("polar angle must lie in [0, pi]")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise DomainError("azimuth must lie in [0, 2pi)")
+    require(0.0 <= theta <= math.pi, "polar angle must lie in [0, pi]")
+    require(0.0 <= phi < 2.0 * math.pi, "azimuth must lie in [0, 2pi)")
     s = math.sin(theta)
     return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
 
 
+@np.errstate(over="ignore")  # a huge coordinate fails the norm test
 def cartesian_to_spherical(p) -> tuple[float, float]:
     """Inverse of :func:`spherical_to_cartesian`; the poles get azimuth 0."""
     p = np.asarray(p, dtype=float)
     norm = float(np.sqrt(np.sum(p * p)))
-    if abs(norm - 1.0) > _NORM_TOLERANCE:
-        raise DomainError("input must be a unit vector")
+    require(p.shape == (3,) and abs(norm - 1.0) <= _NORM_TOLERANCE, "input must be a unit vector")
     theta = math.acos(min(1.0, max(-1.0, p[2] / norm)))
     if math.hypot(p[0], p[1]) == 0.0:
         return theta, 0.0

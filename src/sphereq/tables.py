@@ -22,6 +22,7 @@ import dataclasses
 import math
 from statistics import median
 
+from .errors import whole
 from .discrepancy import (
     INCLUDE,
     PointSet,
@@ -51,6 +52,12 @@ TABLE2_KERNELS = (
 
 DEFAULT_TABLE1_SEEDS = (42, 43, 44)
 DEFAULT_TABLE2_SEEDS = (1, 2, 3, 4, 5)
+
+_SIZE = "table sizes must be positive integers"
+
+
+def _medians(cells, n_list, kernels) -> list[tuple[int, str, float]]:
+    return [(n, spec.name, median(cells[(n, spec.name)])) for n in n_list for spec in kernels]
 
 
 def series_node_discrepancy(pts: PointSet, n_max: int = TABLE1_NMAX) -> float:
@@ -83,7 +90,7 @@ def run_table1(
     One greedy sequence of max(n_list) nodes per (kernel, seed); every N in
     ``n_list`` scores the sequence prefix, so columns share their nodes.
     """
-    n_list = sorted(n_list)
+    n_list = sorted(whole(n, _SIZE, low=1) for n in n_list)
     top = n_list[-1]
     cells: dict[tuple[int, str], list[float]] = {}
     for spec in TABLE1_KERNELS:
@@ -94,11 +101,7 @@ def run_table1(
                 cells.setdefault((n, spec.name), []).append(
                     series_node_discrepancy(prefix, n_max)
                 )
-    return [
-        (n, spec.name, median(cells[(n, spec.name)]))
-        for n in n_list
-        for spec in TABLE1_KERNELS
-    ]
+    return _medians(cells, n_list, TABLE1_KERNELS)
 
 
 def run_table2(
@@ -112,7 +115,7 @@ def run_table2(
     neighbor count capped at N - 1.
     """
     base = params or RefineParams()
-    n_list = sorted(n_list)
+    n_list = sorted(whole(n, _SIZE, low=1) for n in n_list)
     cells: dict[tuple[int, str], list[float]] = {}
     for n in n_list:
         for seed in seeds:
@@ -123,11 +126,7 @@ def run_table2(
                 cells.setdefault((n, spec.name), []).append(
                     centered_pair_discrepancy(refined, spec)
                 )
-    return [
-        (n, spec.name, median(cells[(n, spec.name)]))
-        for n in n_list
-        for spec in TABLE2_KERNELS
-    ]
+    return _medians(cells, n_list, TABLE2_KERNELS)
 
 
 def rows_to_csv(rows) -> str:

@@ -85,6 +85,21 @@ def test_pointset_validation():
         WeightedMeasure(single(), [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (series_generalized_discrepancy, (tetrahedron(), "pycke", 0, 2.5)),
+        (series_generalized_discrepancy, (tetrahedron(), "pycke", 1.5, 5)),
+        (min_generalized_discrepancy, (tetrahedron(), "pycke", (0.5,), 5)),
+        (WeightedMeasure, (tetrahedron(), [0.25, math.nan, 0.25, 0.25])),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_nan_and_fractional_orders_raise_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
 # --- rms --------------------------------------------------------------------
 
 def test_rms_single_point():

@@ -91,6 +91,19 @@ def test_monomial_counts():
     assert monomial_basis(pts, 0).shape == (5, 1)
     assert monomial_basis(pts, 1).shape == (5, 4)
     assert monomial_basis(pts, 2).shape == (5, 10)
+    assert monomial_basis(pts, -3).shape == (5, 0)  # any negative degree means no tail
+    with pytest.raises(DomainError, match="polynomial degree must be an integer"):
+        monomial_basis(pts, 1.5)
+
+
+@pytest.mark.parametrize(
+    "p", [[3.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]]
+)
+def test_interpolant_eval_takes_unit_points_only(p):
+    pts = random_unit_points(8, seed=24)
+    model = fit_interpolant(pts, franke_eval(pts.points), CF, 1.5, 0.1, 1)
+    with pytest.raises(DomainError):
+        interpolant_eval(model, p)
 
 
 # --- fitting ---------------------------------------------------------------------
@@ -363,6 +376,11 @@ def test_fits_and_loocv_check_their_arguments_alike(fit):
     for short in (y[:-1], y[:1]):
         with pytest.raises(DomainError, match="one observation per center required"):
             fit(pts, short, CF, 1.5, 0.1, 1)
+    for degree in (1.5, math.nan):
+        with pytest.raises(DomainError, match="polynomial degree must be an integer"):
+            fit(pts, y, CF, 1.5, 0.1, degree)
+    with pytest.raises(DomainError, match="observations must be finite"):
+        fit(pts, np.where(np.arange(12) == 3, math.nan, y), CF, 1.5, 0.1, 1)
 
 
 def test_sweep_checks_its_data_and_smoothing_like_a_fit():
@@ -375,6 +393,8 @@ def test_sweep_checks_its_data_and_smoothing_like_a_fit():
         epsilon_sweep(pts, y[:1], CF, eps_grid=[1.0])
     with pytest.raises(DomainError, match="epsilon grid must be non-empty and positive"):
         epsilon_sweep(pts, y, CF, eps_grid=[1.0, math.nan])
+    with pytest.raises(DomainError, match="observations must be finite"):
+        epsilon_sweep(pts, np.where(np.arange(12) == 3, math.nan, y), CF, eps_grid=[1.0])
 
 
 def _saddle_oracle(r, p, spec, epsilon, sigma):

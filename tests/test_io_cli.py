@@ -56,8 +56,9 @@ def test_cartesian_to_spherical_pole_convention():
 
 
 def test_cartesian_to_spherical_rejects_non_unit():
-    with pytest.raises(DomainError):
-        cartesian_to_spherical(np.array([1.0, 1.0, 1.0]))
+    for p in ([1.0, 1.0, 1.0], [math.nan, 0.0, 1.0], [1.0, 0.0]):
+        with pytest.raises(DomainError):
+            cartesian_to_spherical(np.array(p))
 
 
 def test_coordinate_round_trip():

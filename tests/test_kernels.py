@@ -107,6 +107,31 @@ def test_front_end_refuses_nan_and_a_non_finite_chord():
                     fn(chordal, r)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (KernelSpec, ("pycke", math.nan)),
+        (kernel_series_eval, ("pycke", 0, math.nan, 5)),
+        (kernel_series_eval, ("pycke", -1, 0.5, 5)),
+        (kernel_series_eval, ("pycke", 1.5, 0.5, 5)),
+        (kernel_series_eval, ("pycke", 0, 0.5, 2.5)),
+        (symbol_squared, ("riesz", 3, math.nan)),
+        (symbol_squared, ("pycke", 2**53)),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_nan_and_fractional_orders_raise_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("s", [-2000.0, 1e308, -1e308])
+def test_a_riesz_symbol_log_gamma_cannot_form_raises(s):
+    # gamma poles at an even negative s, inf - inf for a huge |s|
+    with pytest.raises(ConditioningError, match="riesz symbol at degree 3 is nan$"):
+        symbol_squared("riesz", 3, s)
+
+
 # --- derivative kernels -----------------------------------------------------
 
 def test_pycke_derivative_chain():

@@ -42,6 +42,23 @@ def test_eval_rejects_bad_arguments():
         legendre_eval(-1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (legendre_eval, (3, math.nan)),
+        (legendre_derivative_eval, (3, 1, math.nan)),
+        (legendre_derivative_eval, (3, 1, np.array([0.5, math.nan]))),
+        (legendre_norm, (math.nan,)),
+        (rodrigues_coefficients, (math.nan,)),
+        (PolynomialCoefficients, (2.5, (Fraction(1),) * 3)),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_nan_and_fractional_degrees_raise_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
 def test_derivative_degree_two_order_one():
     # oracle: P2 = (3x^2 - 1)/2, so P2' = 3x
     assert legendre_derivative_eval(2, 1, 0.3) == pytest.approx(0.9, rel=1e-14)

@@ -621,7 +621,7 @@ def _refine_oracle(pts, params):
     x = pts.points.copy()
     s = params.riesz_s
     for t in range(params.iterations):
-        if t % params.refresh_period == 0:
+        if t % pointgen.KNN_REFRESH == 0:
             neighbors = _knn_oracle(x, params.k_neighbors)
         diff = x[:, None, :] - x[neighbors]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
@@ -666,7 +666,26 @@ def test_knn_equals_a_full_matrix_stable_argsort(case):
     np.testing.assert_array_equal(knn_indices(PointSet(p), k), _knn_oracle(p, k))
 
 
-@pytest.mark.parametrize("k", [0, -1, -25])
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (candidate_grid, (16.5,)),
+        (greedy_generate, (4, PYCKE, 1, 16.7)),
+        (greedy_generate, (2.5, PYCKE, 1, 16)),
+        (greedy_generate, (3, PYCKE, 1.5, 16)),
+        (random_unit_points, (5.5, 1)),
+        (random_unit_points, (5, 1.5)),
+        (RefineParams, (12, 2.5)),
+        (RefineParams, (math.nan,)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_nan_and_fractional_counts_raise_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("k", [0, -1, -25, 2.5])
 def test_knn_rejects_a_non_positive_k(k):
     with pytest.raises(DomainError, match="positive"):
         knn_indices(random_unit_points(10, seed=1), k)
