@@ -431,6 +431,7 @@ def min_generalized_discrepancy(
     return best_m, best
 
 
+@np.errstate(invalid="ignore")  # an overflowed K under weights of both signs, caught below
 def measure_inner_product(
     mu: WeightedMeasure, omega: WeightedMeasure, spec: KernelSpec
 ) -> float:

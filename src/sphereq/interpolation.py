@@ -132,11 +132,17 @@ def _checked_y(centers, y, epsilon, sigma) -> np.ndarray:
 
 def _geometry(centers, poly_degree):
     """Chordal distances and monomial block; neither depends on epsilon."""
+    p = monomial_basis(centers, poly_degree)
+    return _distances(centers), p
+
+
+def _distances(centers):
+    """Chordal distances between the centers; duplicate centers raise."""
     pts = centers.points
     r = _chordal(pts, pts)
     if np.count_nonzero(r == 0.0) > np.count_nonzero(r.diagonal() == 0.0):
         raise DomainError("duplicate interpolation centers")
-    return r, monomial_basis(centers, poly_degree)
+    return r
 
 
 def _saddle(r, p, spec, epsilon, sigma):
@@ -146,7 +152,7 @@ def _saddle(r, p, spec, epsilon, sigma):
     The kernel block is evaluated in place on the half-chords r (eps/2),
     which equal (eps r)/2 bit for bit, so G is the chordal ``kernel_eval``
     of eps r; a singular diagonal is set to its limit after, and
-    :func:`_geometry` refuses zero r off it.  G is Fortran-ordered so that
+    :func:`_distances` refuses zero r off it.  G is Fortran-ordered so that
     LAPACK can factor it in place."""
     n, m = p.shape
     singular = is_singular_at_coincidence(spec)
@@ -207,7 +213,9 @@ def loocv_errors_slow(
 ) -> np.ndarray:
     """Leave-one-out errors by N refits (the O(N^4) definitional oracle).
 
-    Entries where the reduced system is singular are NaN; a refused argument raises.
+    A refused argument raises :class:`DomainError`; a refit that is singular
+    or overflows, and an error that is not finite, raise
+    :class:`ConditioningError`, as in the fast route.
     """
     y = _checked_y(centers, y, epsilon, sigma)
     n = len(centers)
@@ -216,13 +224,10 @@ def loocv_errors_slow(
     for v in range(n):
         keep = np.arange(n) != v
         sub = PointSet(centers.points[keep])
-        try:
-            model = fit_interpolant(sub, y[keep], spec, epsilon, sigma, poly_degree)
-            pred = interpolant_eval(model, centers.points[v])
-        except ConditioningError:
-            errors[v] = np.nan
-            continue
-        errors[v] = y[v] - pred
+        model = fit_interpolant(sub, y[keep], spec, epsilon, sigma, poly_degree)
+        errors[v] = y[v] - interpolant_eval(model, centers.points[v])
+        if not math.isfinite(errors[v]):
+            raise ConditioningError(f"leave-one-out error at center {v} is {errors[v]!r}")
     return errors
 
 
@@ -336,8 +341,9 @@ def epsilon_sweep(
     rule = "epsilon grid must be non-empty and positive, with finite values"
     require(eps_grid != [] and all(0.0 < e < math.inf for e in eps_grid), rule)
     y = _checked_y(centers, y, None, sigma)
+    p = monomial_basis(centers, poly_degree)
     try:
-        r, p = _geometry(centers, poly_degree)
+        r = _distances(centers)
     except DomainError as exc:
         raise ConfigurationError("every grid point failed to fit") from exc
     report = SweepReport()

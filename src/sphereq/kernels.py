@@ -36,7 +36,7 @@ Constant factors are dropped where noted because every downstream use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -143,7 +143,11 @@ def _riesz_shift(s: float) -> float:
     # uniform-sphere mean of sign(s)|2(1-t)|^(-s/2); finite only for s < 2
     if s == 0.0:
         return 1.0 - 2.0 * math.log(2.0)
-    return math.copysign(1.0, s) * 2.0**-s / (1.0 - s / 2.0)
+    try:
+        scale = 2.0**-s
+    except OverflowError:  # s <= -1024
+        raise ConditioningError(f"riesz mean 2^-s/(1 - s/2) overflows at s={s!r}") from None
+    return math.copysign(1.0, s) * scale / (1.0 - s / 2.0)
 
 
 def _eval_u(
@@ -317,12 +321,18 @@ def _on_half_chords(spec: KernelSpec, x, evaluate):
 
 def kernel_eval(spec: KernelSpec, x):
     """The closed form at t or r, per ``spec.convention``.  Raises
-    :class:`SingularKernelError` for a singular kernel at coincidence."""
+    :class:`SingularKernelError` for a singular kernel at coincidence, and
+    :class:`ConditioningError` where a value overflows, as a riesz kernel
+    with a large |s| does."""
 
     def checked(u: np.ndarray) -> np.ndarray:
         if is_singular_at_coincidence(spec) and np.any(u == 0.0):
             raise SingularKernelError(spec.name, "kernel is singular at coincidence")
-        return _kernel_eval_u(spec, u)
+        vals = _kernel_eval_u(spec, u)
+        if not np.isfinite(vals).all():
+            bad = float(vals[~np.isfinite(vals)][0])
+            raise ConditioningError(f"{spec.name} overflows to {bad!r}")
+        return vals
 
     return _on_half_chords(spec, x, checked)
 
@@ -420,16 +430,13 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
 
 @dataclass
 class SymbolSequence:
-    """Lazy per-degree symbol values A_n^2 for one family."""
+    """Per-degree symbol values A_n^2 for one family."""
 
     family: str
     s: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def value(self, n: int) -> float | None:
-        if n not in self._cache:
-            self._cache[n] = symbol_squared(self.family, n, self.s)
-        return self._cache[n]
+        return symbol_squared(self.family, n, self.s)
 
     def series_weights(self, n_max: int) -> np.ndarray:
         """Weights (2n+1)/(4pi A_n^2) for n = 1..n_max; 0 where absent.  A weight

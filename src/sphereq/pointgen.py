@@ -5,13 +5,12 @@ Three generators:
 * seeded uniform random sampling (normalized Gaussian triples),
 * greedy sequential minimization of the summed kernel against the points
   placed so far (argmin over a spherical Fibonacci grid, then polished by
-  tangent-plane descent: each iteration tries one damped Newton step on
-  the 2 x 2 tangent Hessian, built from K'' and three-term dots with the
-  tangent basis, and falls back to a backtracking line search that scores
-  every trial step length in one pass, the trial dots, the half-chords u
-  and the kernel values each filling one reused buffer; the accepted
-  trial's u row gives the next gradient and Hessian, so each iteration
-  forms its dots with the nodes once),
+  tangent-plane descent: each iteration's step is the damped Newton step
+  on the 2 x 2 tangent Hessian, built from K'' and three-term dots with the
+  tangent basis, or a gradient step where that Hessian is not positive
+  definite, halved in place until its trial lowers the summed kernel; the
+  accepted trial's u row gives the next gradient and Hessian, so each
+  trial forms its dots with the nodes once),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.  The iterate is kept
   component-major, so a step is a few whole-row passes.  The k-NN scan
@@ -151,37 +150,23 @@ def _polish(
 ) -> np.ndarray:
     """Tangent-plane descent of f(eta) = sum_i K(x_i . eta) on the sphere.
 
-    Each iteration first tries one damped Newton step.  In the tangent basis
-    e_a = g/|g| (g the tangent gradient) and e_b = eta x e_a, the Hessian is
+    In the tangent basis e_a = g/|g| (g the tangent gradient) and
+    e_b = eta x e_a, the Hessian is
     H_ab = sum_i K''(t_i) (x_i . e_a)(x_i . e_b) - (grad f . eta) delta_ab,
     from the half-chords u the iteration holds and three-term dots with the
-    basis.  When H is finite and positive definite, the step d solving
-    H d = -(|g|, 0), cut to length ``step0`` (the trust region), gives one
-    trial, normalize(eta + d_a e_a + d_b e_b), which is taken if it lowers f.
+    basis.  Each iteration has one step d: when H is finite and positive
+    definite, the damped Newton step solving H d = -(|g|, 0), cut to length
+    ``step0`` (the trust region); otherwise the descent step -step0 e_a.
+    The trial normalize(eta + d) is scored, and while it does not lower f
+    the step is halved in place and scored again.  A trial that lands on a
+    node scores +inf and is halved past.  The accepted trial's u row gives
+    the next gradient and Hessian, so no dot with the nodes is formed twice.
 
-    Otherwise the iteration is a backtracking line search along -e_a over
-    the step lengths step0, step0/2, step0/4, ... > tol.  All these trials
-    are normalized and scored in one pass: their dots with the nodes, the
-    half-chords u and the kernel values each fill one reused buffer.  The
-    longest step that lowers f is taken, exactly as a sequential halving
-    search would take it.  A trial that lands on a node scores +inf and is
-    passed over.  The u row of the accepted trial gives the next gradient
-    and Hessian, so no dot with the nodes is formed twice.
-
-    Descent stops when the line search finds no lower trial, the gradient
-    vanishes or is not finite, or an accepted step is shorter than ``tol``.
-    No sum over the nodes goes through BLAS, so the result does not depend
-    on its thread count; each trial's row sum is bit for bit the sum of that
-    row alone.
+    Descent stops when the step gets shorter than ``tol`` or the gradient
+    vanishes or is not finite.  No sum over the nodes goes through BLAS, so
+    the result does not depend on its thread count.
     """
-    alphas = []
-    alpha = step0
-    while alpha > tol:
-        alphas.append(alpha)
-        alpha *= 0.5
-    alphas = np.array(alphas)[:, None]
-    shape = (alphas.shape[0], pts.shape[0])
-    u, vals = np.empty(shape), np.empty(shape)
+    u, vals = np.empty((1, pts.shape[0])), np.empty((1, pts.shape[0]))
     p, ab = np.ascontiguousarray(pts.T), np.empty((2, pts.shape[0]))
     t_derivative, t_second = _t_derivative_u(spec), _t_derivative_u(spec, 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -202,37 +187,26 @@ def _polish(
             _dot_block(np.column_stack([e_a, e_b]), p, ab)
             w = t_second(u_eta)
             wa = w * ab[0]
-            d = _newton_step(
+            d_a, d_b = _newton_step(
                 g_norm,
                 float(np.sum(wa * ab[0])) - radial,
                 float(np.sum(wa * ab[1])),
                 float(np.sum(w * ab[1] * ab[1])) - radial,
                 step0,
-            )
-            if d is not None:
-                trial = eta + d[0] * e_a + d[1] * e_b
+            ) or (-step0, 0.0)
+            length, step = math.hypot(d_a, d_b), d_a * e_a + d_b * e_b
+            while length >= tol:
+                trial = eta + step
                 trial /= math.sqrt(float(np.dot(trial, trial)))
-                _dot_rows(trial[None, :], pts, out=u[:1])
-                f_trial = np.sum(_half_chord_kernel(spec, u[:1], 1.0, vals[:1]), axis=1)[0]
+                _dot_rows(trial[None, :], pts, out=u)
+                f_trial = np.sum(_half_chord_kernel(spec, u, 1.0, vals), axis=1)[0]
                 if f_trial < f:
-                    step = float(np.sqrt(np.sum((trial - eta) ** 2)))
-                    eta, f, u_eta = trial, f_trial, u[0]
-                    if step < tol:
-                        break
-                    continue
-            trials = eta - alphas * e_a
-            # np.vecdot rounds as np.dot does on one row; np.sum(v * v) does not
-            trials /= np.sqrt(np.vecdot(trials, trials))[:, None]
-            _dot_rows(trials, pts, out=u)
-            f_trials = np.sum(_half_chord_kernel(spec, u, 1.0, vals), axis=1)
-            lower = np.flatnonzero(f_trials < f)
-            if lower.size == 0:
+                    break
+                step *= 0.5
+                length *= 0.5
+            else:  # no trial as long as tol lowered f
                 break
-            trial = trials[lower[0]]
-            step = float(np.sqrt(np.sum((trial - eta) ** 2)))
-            eta, f, u_eta = trial, f_trials[lower[0]], u[lower[0]]
-            if step < tol:
-                break
+            eta, f, u_eta = trial, f_trial, u[0]
     return eta
 
 

@@ -22,7 +22,7 @@ import dataclasses
 import math
 from statistics import median
 
-from .errors import whole
+from .errors import require, whole
 from .discrepancy import (
     INCLUDE,
     PointSet,
@@ -54,6 +54,15 @@ DEFAULT_TABLE1_SEEDS = (42, 43, 44)
 DEFAULT_TABLE2_SEEDS = (1, 2, 3, 4, 5)
 
 _SIZE = "table sizes must be positive integers"
+
+
+def _panel(seeds, n_list) -> tuple[list, list[int]]:
+    """The seed panel and the sorted sizes, each refused when empty."""
+    seeds = list(seeds)
+    require(seeds != [], "seed panel must not be empty")
+    n_list = sorted(whole(n, _SIZE, low=1) for n in n_list)
+    require(n_list != [], "table sizes must not be empty")
+    return seeds, n_list
 
 
 def _medians(cells, n_list, kernels) -> list[tuple[int, str, float]]:
@@ -90,7 +99,7 @@ def run_table1(
     One greedy sequence of max(n_list) nodes per (kernel, seed); every N in
     ``n_list`` scores the sequence prefix, so columns share their nodes.
     """
-    n_list = sorted(whole(n, _SIZE, low=1) for n in n_list)
+    seeds, n_list = _panel(seeds, n_list)
     top = n_list[-1]
     cells: dict[tuple[int, str], list[float]] = {}
     for spec in TABLE1_KERNELS:
@@ -115,7 +124,7 @@ def run_table2(
     neighbor count capped at N - 1.
     """
     base = params or RefineParams()
-    n_list = sorted(whole(n, _SIZE, low=1) for n in n_list)
+    seeds, n_list = _panel(seeds, n_list)
     cells: dict[tuple[int, str], list[float]] = {}
     for n in n_list:
         for seed in seeds:

@@ -49,6 +49,8 @@ SPECS = (
     sphereq.KernelSpec("cui-freeden", convention=CHORDAL),
     sphereq.KernelSpec("gine"),
     sphereq.KernelSpec("riesz", s=1.0),
+    sphereq.KernelSpec("riesz", s=-2000.0),
+    sphereq.KernelSpec("riesz", s=-2000.0, shifted=True),
 )
 FAMILIES = sphereq.FAMILIES
 MODEL = sphereq.fit_interpolant(P12, Y12, CF, 2.0, 0.0, 1)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -685,3 +686,24 @@ def test_pointset_rejects_non_finite_coordinates(bad):
     p[0, 1] = bad
     with pytest.raises(DomainError, match="finite"):
         PointSet(p)
+
+
+def test_an_overflowed_measure_form_raises_without_a_warning():
+    # K = -(2u)^2000 is -inf far apart: the north pole meets two southern
+    # points, one weighted +1 and one -1, so the form holds -inf and +inf
+    spec = KernelSpec("riesz", s=-2000.0)
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.0, -0.8]])
+    mu = WeightedMeasure(PointSet(pts), np.array([1.0, 1.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for form in (measure_inner_product, signed_discrepancy):
+            with pytest.raises(ConditioningError, match="kernel sum is not finite"):
+                form(mu, mu, spec)
+
+
+@pytest.mark.parametrize("table", [tables.run_table1, tables.run_table2])
+def test_tables_refuse_an_empty_seed_panel_or_size_list(table):
+    with pytest.raises(DomainError, match="seed panel must not be empty"):
+        table(seeds=(), n_list=(4, 5))
+    with pytest.raises(DomainError, match="table sizes must not be empty"):
+        table(seeds=(1,), n_list=())

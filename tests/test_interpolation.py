@@ -397,6 +397,27 @@ def test_sweep_checks_its_data_and_smoothing_like_a_fit():
         epsilon_sweep(pts, np.where(np.arange(12) == 3, math.nan, y), CF, eps_grid=[1.0])
 
 
+def test_sweep_refuses_a_polynomial_degree_as_a_fit_does():
+    pts = random_unit_points(12, seed=2)
+    y = franke_eval(pts.points)
+    for degree in (2.5, math.nan):
+        with pytest.raises(DomainError, match="polynomial degree must be an integer"):
+            epsilon_sweep(pts, y, CF, [1.0], 0.0, degree)
+    # duplicate centers still fail every grid point
+    twice = PointSet(np.vstack([pts.points, pts.points[:1]]))
+    with pytest.raises(ConfigurationError, match="every grid point failed to fit"):
+        epsilon_sweep(twice, np.append(y, y[0]), CF, [1.0], 0.0, 1)
+
+
+def test_slow_loocv_raises_where_a_refit_overflows():
+    # a refit with y = 1e308 has no finite solution; the fast route raises too
+    pts = random_unit_points(12, seed=2)
+    y = np.where(np.arange(12) == 1, 1e308, franke_eval(pts.points))
+    for loocv in (loocv_errors_slow, loocv_errors_fast):
+        with pytest.raises(ConditioningError):
+            loocv(pts, y, CF, 1.0, 0.0, -1)
+
+
 def _saddle_oracle(r, p, spec, epsilon, sigma):
     """The saddle matrix from one chordal kernel_eval of eps * r."""
     n, m = p.shape

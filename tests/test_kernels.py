@@ -132,6 +132,20 @@ def test_a_riesz_symbol_log_gamma_cannot_form_raises(s):
         symbol_squared("riesz", 3, s)
 
 
+def test_a_riesz_value_or_mean_that_overflows_raises():
+    # 2^-s overflows for s <= -1024, and (2u)^-s at u = 1 for s = -2000
+    plain = KernelSpec("riesz", s=-2000.0)
+    shifted = KernelSpec("riesz", s=-2000.0, shifted=True)
+    with pytest.raises(ConditioningError, match="overflows at s=-2000.0"):
+        kernel_uniform_mean(plain)
+    with pytest.raises(ConditioningError, match="overflows at s=-2000.0"):
+        kernel_eval(shifted, 0.5)
+    with pytest.raises(ConditioningError, match="overflows to -inf"):
+        kernel_eval(plain, np.array([0.5, -1.0]))
+    assert kernel_eval(plain, 0.5) == -1.0
+    assert kernel_uniform_mean(shifted) == 0.0
+
+
 # --- derivative kernels -----------------------------------------------------
 
 def test_pycke_derivative_chain():

@@ -54,11 +54,9 @@ def _objective_oracle(pts, spec, eta):
     return float(np.sum(vals))
 
 
-def _newton_trial_oracle(pts, spec, eta, t, grad, g_t, g_norm, step0):
-    """The damped Newton trial from plain K'' sums, or None when the tangent
-    Hessian is not finite and positive definite."""
-    e_a = g_t / g_norm
-    e_b = np.cross(eta, e_a)
+def _newton_step_oracle(pts, spec, eta, t, grad, e_a, e_b, g_norm, step0):
+    """The damped Newton step (d_a, d_b) from plain K'' sums, or None when the
+    tangent Hessian is not finite and positive definite."""
     a = (pts[:, 0] * e_a[0] + pts[:, 1] * e_a[1]) + pts[:, 2] * e_a[2]
     b = (pts[:, 0] * e_b[0] + pts[:, 1] * e_b[1]) + pts[:, 2] * e_b[2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -78,8 +76,7 @@ def _newton_trial_oracle(pts, spec, eta, t, grad, g_t, g_norm, step0):
     if length > step0:
         d_a *= step0 / length
         d_b *= step0 / length
-    trial = eta + d_a * e_a + d_b * e_b
-    return trial / math.sqrt(float(np.dot(trial, trial)))
+    return d_a, d_b
 
 
 def _objective_or_inf(pts, spec, trial):
@@ -90,8 +87,9 @@ def _objective_or_inf(pts, spec, trial):
 
 
 def _polish_oracle(eta, pts, spec, step0, tol=1e-10, max_iter=200):
-    """Reference polish: a Newton trial first, then one objective evaluation
-    per backtracking trial."""
+    """Reference polish: the Newton step, or -step0 e_a where the tangent
+    Hessian is not positive definite, halved until a trial scores below eta,
+    with one objective evaluation per trial."""
     f = _objective_oracle(pts, spec, eta)
     for _ in range(max_iter):
         t = _dots(pts, eta)
@@ -102,32 +100,21 @@ def _polish_oracle(eta, pts, spec, step0, tol=1e-10, max_iter=200):
         g_norm = float(np.sqrt(np.dot(g_t, g_t)))
         if g_norm == 0.0 or not math.isfinite(g_norm):
             break
-        trial = _newton_trial_oracle(pts, spec, eta, t, grad, g_t, g_norm, step0)
-        if trial is not None:
-            f_trial = _objective_or_inf(pts, spec, trial)
-            if f_trial < f:
-                step = float(np.sqrt(np.sum((trial - eta) ** 2)))
-                eta, f = trial, f_trial
-                if step < tol:
-                    return eta
-                continue
-        direction = g_t / g_norm
-        alpha = step0
-        moved = False
-        while alpha > tol:
-            trial = eta - alpha * direction
+        e_a = g_t / g_norm
+        e_b = np.cross(eta, e_a)
+        d = _newton_step_oracle(pts, spec, eta, t, grad, e_a, e_b, g_norm, step0)
+        d_a, d_b = d if d is not None else (-step0, 0.0)
+        step, length = d_a * e_a + d_b * e_b, math.hypot(d_a, d_b)
+        while True:
+            if length < tol:
+                return eta
+            trial = eta + step
             trial /= math.sqrt(float(np.dot(trial, trial)))
             f_trial = _objective_or_inf(pts, spec, trial)
             if f_trial < f:
-                step = float(np.sqrt(np.sum((trial - eta) ** 2)))
-                eta, f = trial, f_trial
-                moved = True
-                if step < tol:
-                    return eta
                 break
-            alpha *= 0.5
-        if not moved:
-            break
+            step, length = step / 2.0, length / 2.0
+        eta, f = trial, f_trial
     return eta
 
 
@@ -278,6 +265,44 @@ def test_polish_passes_over_one_trial_on_a_node(name):
     assert np.array_equal(first, trials[2])
     out = pointgen._polish(eta, nodes, spec, 0.5)
     assert np.array_equal(out, _polish_oracle(eta, nodes, spec, 0.5))
+
+
+def test_polish_halves_a_refused_newton_step_along_itself():
+    # eta = e_z, with 24 copies of a node on the +x side and two pairs at
+    # +-y, mirror images across y = 0: the gradient is exactly +x and the
+    # tangent Hessian diagonal.  A node c is planted on the Newton trial
+    # normalize(eta + d e_x), which it moves; iterating d to a fixed point
+    # gives a node on the trial of its own Newton step.  That step is shorter
+    # than step0, so it is no descent step, and its trial scores +inf; the
+    # first iteration then takes the same step halved.
+    eta, e_x, e_y = np.eye(3)[[2, 0, 1]]
+    step0 = 1.0
+    side = [math.sin(1.5), 0.0, math.cos(1.5)]
+    pair = [[0.0, math.sin(1.0), math.cos(1.0)], [0.0, -math.sin(1.0), math.cos(1.0)]]
+    base = np.array([side] * 24 + pair * 2)
+
+    def trial(d_a):
+        v = eta + d_a * e_x
+        return v / math.sqrt(float(np.dot(v, v)))
+
+    nodes, d_a = base, None  # from the Newton step without c
+    for _ in range(100):
+        t = _dots(nodes, eta)
+        grad = np.sum(kernel_t_derivative(PYCKE, t)[:, None] * nodes, axis=0)
+        assert grad[0] > 0.0 and grad[1] == 0.0
+        d = _newton_step_oracle(nodes, PYCKE, eta, t, grad, e_x, e_y, float(grad[0]), step0)
+        if d == (d_a, 0.0):
+            break
+        d_a = d[0]
+        nodes = np.vstack([base, trial(d_a)])
+    else:
+        pytest.fail("the planted Newton trial has no fixed point")
+    assert -step0 < d_a < 0.0
+    assert _dots(nodes, nodes[-1])[-1] == 1.0
+    first = pointgen._polish(eta, nodes, PYCKE, step0, max_iter=1)
+    assert np.array_equal(first, trial(d_a / 2.0))
+    out = pointgen._polish(eta, nodes, PYCKE, step0)
+    assert np.array_equal(out, _polish_oracle(eta, nodes, PYCKE, step0))
 
 
 @pytest.mark.parametrize(
