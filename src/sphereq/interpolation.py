@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import CapabilityError, ConditioningError, ConfigurationError, DomainError
 from .errors import require, whole
@@ -153,7 +152,9 @@ def _saddle(r, p, spec, epsilon, sigma):
     which equal (eps r)/2 bit for bit, so G is the chordal ``kernel_eval``
     of eps r; a singular diagonal is set to its limit after, and
     :func:`_distances` refuses zero r off it.  G is Fortran-ordered so that
-    LAPACK can factor it in place."""
+    LAPACK can factor it in place; the block is read from r.T, which is r
+    bit for bit (numpy forms pts @ pts.T as one symmetric product), so both
+    sides of the multiply run in memory order."""
     n, m = p.shape
     singular = is_singular_at_coincidence(spec)
     if singular and sigma <= 0.0:
@@ -161,7 +162,7 @@ def _saddle(r, p, spec, epsilon, sigma):
     # r > 0 off the diagonal, so a negative eps gives a negative eps r
     require(epsilon >= 0.0 or n == 1, "chordal distance must be non-negative")
     g, diag = np.empty((n + m, n + m), order="F"), np.arange(n)
-    block = np.multiply(r, epsilon / 2.0, out=g[:n, :n])
+    block = np.multiply(r.T, epsilon / 2.0, out=g[:n, :n])
     _kernel_eval_u(spec, block, out=block)
     if singular:
         block[diag, diag] = 0.0
@@ -246,6 +247,8 @@ def _inverse_diagonal(f, ipiv):
     interchanges in the order ``dsytrs2`` applies them: row k with |ipiv_k|
     for every 1x1 block and for the first row of every 2x2 block.
     """
+    from scipy.linalg import lapack
+
     n = f.shape[0]
     f, e, _ = lapack.dsyconv(f, ipiv, overwrite_a=1)  # e: superdiagonal of D
     d = f.diagonal().copy()
@@ -275,6 +278,8 @@ def _factor_solve(g, y):
     condition estimate below machine epsilon, or a c that is not finite,
     raises :class:`ConditioningError`.  G is symmetric, so its inf-norm adds
     the same numbers in the same order as the 1-norm of a C-ordered copy."""
+    from scipy.linalg import lapack  # scipy loads on the first solve, not with the package
+
     anorm = np.linalg.norm(g, np.inf)
     lwork = int(lapack.dsytrf_lwork(g.shape[0])[0])
     ldu, piv, info = lapack.dsytrf(g, lwork=lwork, overwrite_a=1)

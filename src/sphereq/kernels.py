@@ -41,7 +41,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from .errors import require, whole
@@ -392,6 +391,8 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
         return float(n * (n + 1))
     if family == "cui-freeden":
         return float(n * (n + 1) * (2 * n + 1))
+    from scipy.special import gammaln, gammasgn  # loads scipy on the first gamma-ratio symbol
+
     if family == "gine":
         if n % 2 == 1:
             return None

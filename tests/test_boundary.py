@@ -260,7 +260,7 @@ def _nan_free(value, inf_ok: bool) -> bool:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_public_names_return_finite_values_or_raise_their_own_errors(name, data):
     case = CASES[name]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +454,26 @@ def test_saddle_is_bit_identical_to_a_kernel_eval_of_eps_r(name, sigma, degree):
         _saddle_oracle(r, p, spec, -1.0, sigma)
     with pytest.raises(DomainError):
         interpolation._saddle(r, p, spec, -1.0, sigma)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_distances_are_bitwise_symmetric(threads):
+    # _saddle reads r.T for its Fortran-ordered block, which is G only while
+    # numpy forms pts @ pts.T as one symmetric product (syrk, then mirrored)
+    script = (
+        "from sphereq.interpolation import _distances; "
+        "from sphereq.pointgen import random_unit_points; "
+        "print([(n, seed) for n in [*range(3, 41), 200, 1000, 1500] for seed in (1, 2) "
+        "if (r := _distances(random_unit_points(n, seed))).tobytes() != r.T.copy().tobytes()])"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
+
 
 @pytest.mark.xfail(
     strict=True,

@@ -4,7 +4,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +450,44 @@ def test_cli_generate_with_an_overflowing_kernel_exits_3(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 3
     assert "riesz:s=-2001:d2 overflows on the candidate grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- import set ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (None, False),  # import sphereq and sphereq.cli only
+        (["generate", "--n", "12", "--grid", "512", "--out", "{out}"], False),
+        (["refine", "--n", "20", "--knn", "4", "--iters", "5", "--out", "{out}"], False),
+        (["score", "{in}", "--kernel", "cui-freeden", "--out", "{out}"], False),
+        (["score", "{in}", "--kernel", "pycke", "--nmax", "20", "--out", "{out}"], False),
+        (["score", "{in}", "--kernel", "gine", "--nmax", "20", "--out", "{out}"], True),
+        (["interpolate", "{in}", "--epsilon", "1.5", "--out", "{out}"], True),
+        (["sweep", "{in}", "--epsilon", "1:2:0.5", "--out", "{out}"], True),
+    ],
+    ids=["import", "generate", "refine", "score", "score-pycke-series",
+         "score-gine-series", "interpolate", "sweep"],
+)
+def test_scipy_loads_only_with_a_lapack_solve_or_a_gamma_symbol(argv, loads, tmp_path):
+    # membership in sys.modules of a fresh interpreter, not an import time
+    pts = tmp_path / "pts.csv"
+    write_pointset(pts, random_unit_points(14, seed=4))
+    call = "0"
+    if argv is not None:
+        argv = [a.replace("{in}", str(pts)).replace("{out}", str(tmp_path / "out")) for a in argv]
+        call = f"main({argv!r})"
+    script = (
+        f"import sys, sphereq; from sphereq.cli import main; rc = {call}; "
+        "print(rc, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["0", str(loads)], done.stderr[-2000:]
 
 
 # --- generated command lines ---------------------------------------------------

@@ -349,7 +349,7 @@ def test_polish_is_bit_identical_to_the_oracle(name, n, seed, step0, plant, j, k
         # the upper half, t > 0, where every K here has K' > 0, so
         # grad f . eta > 0.  As every x_i . e_y is 0, the tangent Hessian's
         # e_y entry is -grad f . eta < 0: it is indefinite, and the first
-        # iteration runs the batched line search over the planted trials.
+        # iteration halves its descent step over the planted trials.
         eta = np.array([0.0, 0.0, 1.0])
         theta = np.random.default_rng(seed).uniform(-math.pi / 2, math.pi / 2, n)
         nodes = np.column_stack([np.sin(theta), np.zeros(n), np.cos(theta)])
