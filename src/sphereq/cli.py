@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import (
     CapabilityError,
     ConditioningError,
@@ -36,7 +34,8 @@ from .discrepancy import (
 from .interpolation import epsilon_sweep, fit_interpolant, franke_eval
 from .kernels import is_singular_at_coincidence, parse_kernel
 from .pointgen import RefineParams, greedy_generate, random_unit_points, riesz_refine
-from .sphio import cartesian_to_spherical, read_pointset, spherical_to_cartesian, write_pointset
+from .sphio import cartesian_to_spherical, csv_text, read_points, read_pointset
+from .sphio import write_pointset, write_text
 from . import tables
 
 
@@ -68,9 +67,12 @@ def _parse_grid(text: str) -> list[float]:
     return [_number(p, float, "epsilon grid") for p in text.split(",") if p.strip()]
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _emit(text: str, out) -> None:
+    """``text`` into the file ``out``, or to stdout without one."""
+    if out:
+        write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_generate(args) -> int:
@@ -91,15 +93,10 @@ def _refine_params(args) -> RefineParams:
 
 
 def _cmd_refine(args) -> int:
-    if args.input:
-        pts = read_pointset(args.input)
-    else:
-        pts = random_unit_points(args.n, seed=args.seed)
+    pts = read_pointset(args.input) if args.input else random_unit_points(args.n, seed=args.seed)
     refined, history = riesz_refine(pts, _refine_params(args))
     write_pointset(args.out, refined)
-    lines = ["iteration,discrepancy"]
-    lines += [f"{i},{d:.17g}" for i, d in enumerate(history)]
-    _write_text(_history_path(args.out), "\n".join(lines) + "\n")
+    _emit(csv_text("iteration,discrepancy", enumerate(history)), _history_path(args.out))
     return 0
 
 
@@ -118,11 +115,7 @@ def _cmd_score(args) -> int:
             report = mean_pair_discrepancy(pts, spec, policy)
         else:
             report = rms_discrepancy(pts, spec, policy)
-    payload = json.dumps(report.to_json_dict(), sort_keys=True)
-    if args.out:
-        _write_text(args.out, payload + "\n")
-    else:
-        print(payload)
+    _emit(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -143,11 +136,7 @@ def _cmd_interpolate(args) -> int:
         sigma=args.sigma,
         poly_degree=args.degree,
     )
-    payload = json.dumps(model.to_json_dict())
-    if args.out:
-        _write_text(args.out, payload + "\n")
-    else:
-        print(payload)
+    _emit(json.dumps(model.to_json_dict()) + "\n", args.out)
     return 0
 
 
@@ -162,62 +151,31 @@ def _cmd_sweep(args) -> int:
         sigma=args.sigma,
         poly_degree=args.degree,
     )
-    text = report.to_csv_text()
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_csv_text(), args.out)
     return 0
 
 
 def _cmd_table1(args) -> int:
-    rows = tables.run_table1(
-        seeds=_parse_seeds(args.seed), grid_size=args.grid, n_max=args.nmax
-    )
-    _write_text(args.out, tables.rows_to_csv(rows))
+    rows = tables.run_table1(seeds=_parse_seeds(args.seed), grid_size=args.grid, n_max=args.nmax)
+    _emit(tables.rows_to_csv(rows), args.out)
     return 0
 
 
 def _cmd_table2(args) -> int:
     rows = tables.run_table2(seeds=_parse_seeds(args.seed), params=_refine_params(args))
-    _write_text(args.out, tables.rows_to_csv(rows))
+    _emit(tables.rows_to_csv(rows), args.out)
     return 0
 
 
 def _cmd_convert(args) -> int:
-    with open(args.input, "r") as fh:
-        header = fh.readline().strip()
-    if header == "x,y,z":
-        pts = read_pointset(args.input)
-        if args.format == "json":
-            _write_text(
-                args.out, json.dumps({"points": pts.points.tolist()}) + "\n"
-            )
-        else:
-            lines = ["theta,phi"]
-            for row in pts.points:
-                theta, phi = cartesian_to_spherical(row)
-                lines.append(f"{theta:.17g},{phi:.17g}")
-            _write_text(args.out, "\n".join(lines) + "\n")
-        return 0
+    header, pts = read_points(args.input)
     if header == "theta,phi":
-        rows = []
-        with open(args.input, "r") as fh:
-            next(fh)
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise PointSetFormatError("expected theta,phi", line=lineno)
-                try:
-                    theta, phi = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise PointSetFormatError("field is not a number", line=lineno)
-                rows.append(spherical_to_cartesian(theta, phi))
-        write_pointset(args.out, PointSet(np.array(rows)))
-        return 0
-    raise PointSetFormatError('header must be "x,y,z" or "theta,phi"', line=1)
+        write_pointset(args.out, pts)
+    elif args.format == "json":
+        _emit(json.dumps({"points": pts.points.tolist()}) + "\n", args.out)
+    else:
+        _emit(csv_text("theta,phi", map(cartesian_to_spherical, pts.points)), args.out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

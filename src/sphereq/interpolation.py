@@ -41,6 +41,7 @@ from .kernels import (
     is_singular_at_coincidence,
     kernel_eval,
 )
+from .sphio import csv_text
 
 
 @np.errstate(over="ignore")  # far from the origin every term is exp(-inf) = 0
@@ -326,11 +327,7 @@ class SweepReport:
     best_mse: float | None = None
 
     def to_csv_text(self) -> str:
-        lines = ["epsilon,mse,status"]
-        for eps, mse, status in self.rows:
-            mse_txt = "" if mse is None else f"{mse:.17g}"
-            lines.append(f"{eps:.17g},{mse_txt},{status}")
-        return "\n".join(lines) + "\n"
+        return csv_text("epsilon,mse,status", self.rows)
 
 
 def epsilon_sweep(

@@ -382,8 +382,12 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
     Gine has no odd modes and ajne no even modes (their symbols are infinite
     there, so the mode contributes nothing to any reciprocal-symbol series).
     Gamma ratios go through log-gamma to stay finite for large n; where that
-    gives NaN (at the gamma poles of an even negative s, or for a huge |s|),
-    the riesz symbol raises :class:`ConditioningError`.
+    gives NaN (at the poles of an even s > 2, or for a huge s), the riesz
+    symbol raises :class:`ConditioningError`.  The riesz symbol has the sign of the kernel's
+    degree-n Legendre coefficient, sign(s) included, so it is positive for
+    -2 < s < 2.  At an even negative s, where Gamma(s/2) and Gamma(n + s/2)
+    meet poles, their ratio is 1/prod_{j<n} (s/2 + j), and degrees above -s/2
+    are absent: |x - y|^-s is then a polynomial of degree -s/2 in t.
     """
     n = whole(n, "symbol degree must be a positive integer below 2**53", low=1)
     require(n < 2**53, "symbol degree must be a positive integer below 2**53")
@@ -391,7 +395,7 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
         return float(n * (n + 1))
     if family == "cui-freeden":
         return float(n * (n + 1) * (2 * n + 1))
-    from scipy.special import gammaln, gammasgn  # loads scipy on the first gamma-ratio symbol
+    from scipy.special import betaln, gammaln, gammasgn  # loads scipy on the first gamma ratio
 
     if family == "gine":
         if n % 2 == 1:
@@ -409,16 +413,28 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
         require(-math.inf < s < math.inf, "riesz exponent s must be finite")
         if s == 0.0:
             return n * (n + 1) / _FOUR_PI
-        with np.errstate(invalid="ignore"):  # inf - inf at the gamma poles is NaN
-            log_mag = (
-                (s - 2.0) * math.log(2.0)
-                - math.log(math.pi)
-                + gammaln(s / 2.0)
-                - gammaln(1.0 - s / 2.0)
-                + gammaln(n + 2.0 - s / 2.0)
-                - gammaln(n + s / 2.0)
-            )
-        sign = gammasgn(s / 2.0) * gammasgn(1.0 - s / 2.0)
+        k = -s / 2.0
+        if k == math.floor(k) and k > 0.0:
+            if n > k:
+                return None
+            # Gamma(k + n + 2)/Gamma(k + 1) over Gamma(k + 1)/Gamma(k + 1 - n), each as
+            # log Gamma(a + m)/Gamma(a) = log Gamma(m) - log B(a, m), finite for a huge k
+            rise = gammaln(n + 1.0) - betaln(k + 1.0, n + 1.0)
+            fall = gammaln(n) - betaln(k + 1.0 - n, n)
+            log_mag = (s - 2.0) * math.log(2.0) - math.log(math.pi) + rise - fall
+            sign = 1.0 if n % 2 else -1.0
+        else:
+            with np.errstate(invalid="ignore"):  # inf - inf at poles or a huge s is NaN
+                log_mag = (
+                    (s - 2.0) * math.log(2.0)
+                    - math.log(math.pi)
+                    + gammaln(s / 2.0)
+                    - gammaln(1.0 - s / 2.0)
+                    + gammaln(n + 2.0 - s / 2.0)
+                    - gammaln(n + s / 2.0)
+                )
+            sign = gammasgn(s / 2.0) * gammasgn(1.0 - s / 2.0)
+            sign *= math.copysign(1.0, s) * gammasgn(n + s / 2.0)
         try:
             value = float(sign * math.exp(log_mag))
         except OverflowError:

@@ -1,8 +1,11 @@
-"""Coordinate conversion and point-set file I/O.
+"""Coordinate conversion and every CSV file the package writes or reads.
 
-Point sets travel as CSV with the exact header ``x,y,z`` and one point per
-row, written with 17 significant digits so that write -> read -> write is
-byte-identical.
+A CSV is a header line and one comma-separated row per record, with ``\\n``
+line ends, a trailing newline and floats of 17 significant digits, so that
+write -> read -> write is byte-identical.  Point sets have the header
+``x,y,z`` (unit vectors) or ``theta,phi`` (polar angle, azimuth); a malformed
+point file of either form raises :class:`PointSetFormatError` or
+:class:`PointSetValidationError` naming its 1-based line.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import PointSetFormatError, PointSetValidationError, require
+from .errors import DomainError, PointSetFormatError, PointSetValidationError, require
 from .discrepancy import PointSet
 
 _NORM_TOLERANCE = 1e-6
@@ -42,47 +45,72 @@ def cartesian_to_spherical(p) -> tuple[float, float]:
     return theta, phi
 
 
-def write_pointset(path, pts: PointSet) -> None:
+def csv_text(header: str, rows) -> str:
+    """``header`` and one line per row: floats with 17 significant digits,
+    ``None`` as an empty field, anything else by ``str``."""
+    def field(v) -> str:
+        return "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    return "\n".join([header] + [",".join(map(field, row)) for row in rows]) + "\n"
+
+
+def write_text(path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,z\n")
-        for row in pts.points:
-            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+        fh.write(text)
 
 
-def read_pointset(path) -> PointSet:
-    """Parse a point-set CSV; rows are re-normalized after validation.
+def write_pointset(path, pts: PointSet) -> None:
+    write_text(path, csv_text("x,y,z", pts.points.tolist()))
 
-    Norm deviations above 1e-6 are rejected; accepted rows are divided by
-    their norm so the stored points are unit to machine precision.
-    """
-    rows = []
+
+def _read(path, headers) -> tuple[str, PointSet]:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "x,y,z":
-        raise PointSetFormatError('expected header "x,y,z"', line=1)
+    header = lines[0].strip() if lines else ""
+    if header not in headers:
+        expected = " or ".join(f'"{h}"' for h in headers)
+        raise PointSetFormatError(f"expected header {expected}", line=1)
+    width = header.count(",") + 1
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 3:
-            raise PointSetFormatError(
-                f"expected 3 fields, found {len(parts)}", line=lineno
-            )
+        if len(parts) != width:
+            raise PointSetFormatError(f"expected {width} fields, found {len(parts)}", line=lineno)
         try:
             vec = [float(part) for part in parts]
         except ValueError:
             raise PointSetFormatError("field is not a number", line=lineno)
         if not all(math.isfinite(v) for v in vec):
             raise PointSetValidationError(f"line {lineno}: coordinates must be finite")
-        norm = math.sqrt(sum(v * v for v in vec))
-        if abs(norm - 1.0) > _NORM_TOLERANCE:
-            raise PointSetValidationError(
-                f"line {lineno}: norm {norm:.9g} deviates from 1 by more than "
-                f"{_NORM_TOLERANCE:g}"
-            )
-        if abs(norm - 1.0) > 1e-13:
-            vec = [v / norm for v in vec]  # keep exact bits for clean inputs
+        if header == "theta,phi":
+            try:
+                vec = spherical_to_cartesian(*vec)
+            except DomainError as exc:
+                raise PointSetValidationError(f"line {lineno}: {exc}") from None
+        else:
+            norm = math.sqrt(sum(v * v for v in vec))
+            if abs(norm - 1.0) > _NORM_TOLERANCE:
+                raise PointSetValidationError(
+                    f"line {lineno}: norm {norm:.9g} deviates from 1 by more than "
+                    f"{_NORM_TOLERANCE:g}"
+                )
+            if abs(norm - 1.0) > 1e-13:
+                vec = [v / norm for v in vec]  # keep exact bits for clean inputs
         rows.append(vec)
     if not rows:
         raise PointSetFormatError("file holds no points", line=len(lines))
-    return PointSet(np.array(rows))
+    return header, PointSet(np.array(rows))
+
+
+def read_points(path) -> tuple[str, PointSet]:
+    """A point file of either form: its header and its points as unit vectors.
+    Rows hold as many finite numbers as the header names; blank lines are skipped."""
+    return _read(path, ("x,y,z", "theta,phi"))
+
+
+def read_pointset(path) -> PointSet:
+    """An ``x,y,z`` point file.  A norm off 1 by more than 1e-6 is refused, and one
+    off by more than 1e-13 is divided out, so the points are unit to machine precision."""
+    return _read(path, ("x,y,z",))[1]

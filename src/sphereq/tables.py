@@ -31,6 +31,7 @@ from .discrepancy import (
 )
 from .kernels import KernelSpec, kernel_uniform_mean
 from .pointgen import RefineParams, greedy_generate, random_unit_points, riesz_refine
+from .sphio import csv_text
 
 #: Node counts of both benchmark tables.
 TABLE_N = (15, 43, 86, 151, 206, 313, 529, 719, 998)
@@ -139,7 +140,4 @@ def run_table2(
 
 
 def rows_to_csv(rows) -> str:
-    lines = ["N,kernel,D"]
-    for n, kernel, value in rows:
-        lines.append(f"{n},{kernel},{value:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("N,kernel,D", rows)

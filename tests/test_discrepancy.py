@@ -281,7 +281,9 @@ def _series_oracle(stack_sums, n_points, family, m, s=None):
     return math.sqrt(max(0.0, total)) / n_points, tail, flags
 
 
-SERIES_FAMILIES = (("pycke", None), ("cui-freeden", None), ("gine", None), ("riesz", 0.5))
+SERIES_FAMILIES = (
+    ("pycke", None), ("cui-freeden", None), ("gine", None), ("riesz", 0.5), ("riesz", -0.5)
+)
 
 
 @pytest.mark.parametrize("n_points", [4, 15, 86, 151, 400])
@@ -297,6 +299,8 @@ def test_series_matches_derivative_stack_oracle(n_points):
                 assert report.value == pytest.approx(value, rel=1e-12, abs=0)
                 assert report.tail_estimate == pytest.approx(tail, rel=1e-12, abs=0)
                 assert report.flags == flags
+                if m == 0:  # every family here has positive symbols
+                    assert "negative_sum" not in flags
                 if m == 0 and n_max >= n_points:
                     # the Gram route at m = 0 is the oracle's arithmetic
                     assert (report.value, report.tail_estimate) == (value, tail)

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphereq import tables
 from sphereq.cli import main
 from sphereq.errors import DomainError, PointSetFormatError, PointSetValidationError
 from sphereq.discrepancy import PointSet
+from sphereq.interpolation import SweepReport
 from sphereq.pointgen import random_unit_points
 from sphereq.sphio import (
     cartesian_to_spherical,
@@ -112,6 +114,62 @@ def test_pointset_mild_denormalization_is_repaired(tmp_path):
     path.write_text("x,y,z\n1.0000001,0,0\n")
     pts = read_pointset(path)
     assert abs(np.linalg.norm(pts.points[0]) - 1.0) < 1e-15
+
+
+# --- file formats: the exact text of every CSV writer ----------------------------
+
+_TET_XYZ = (
+    "x,y,z\n"
+    "0.57735026918962584,0.57735026918962584,0.57735026918962584\n"
+    "0.57735026918962584,-0.57735026918962584,-0.57735026918962584\n"
+    "-0.57735026918962584,0.57735026918962584,-0.57735026918962584\n"
+    "-0.57735026918962584,-0.57735026918962584,0.57735026918962584\n"
+)
+
+
+def test_write_pointset_text(tmp_path):
+    path = tmp_path / "tet.csv"
+    write_pointset(path, tetrahedron())
+    assert path.read_bytes() == _TET_XYZ.encode()
+
+
+def test_rows_to_csv_text():
+    rows = [(15, "pycke", 0.1), (43, "pycke:d1", 1 / 3), (998, "cui-freeden", np.float64(2.5e-17))]
+    assert tables.rows_to_csv(rows) == (
+        "N,kernel,D\n"
+        "15,pycke,0.10000000000000001\n"
+        "43,pycke:d1,0.33333333333333331\n"
+        "998,cui-freeden,2.4999999999999999e-17\n"
+    )
+
+
+def test_sweep_report_csv_text_leaves_a_failed_mse_empty():
+    report = SweepReport(rows=[(0.5, 0.25, "ok"), (1e-300, None, "failed"), (2.0, 1 / 3, "ok")])
+    assert report.to_csv_text() == (
+        "epsilon,mse,status\n0.5,0.25,ok\n1e-300,,failed\n2,0.33333333333333331,ok\n"
+    )
+
+
+def test_cli_refine_history_text(tmp_path):
+    out = tmp_path / "r6.csv"
+    assert main(["refine", "--n", "6", "--seed", "2", "--knn", "3", "--iters", "2",
+                 "--out", str(out)]) == 0
+    assert (tmp_path / "r6_history.csv").read_bytes() == (
+        b"iteration,discrepancy\n0,0.15966062956829377\n1,0.15322878790092434\n"
+    )
+
+
+def test_cli_convert_spherical_text(tmp_path):
+    cart, sph = tmp_path / "tet.csv", tmp_path / "tet_sph.csv"
+    cart.write_text(_TET_XYZ)
+    assert main(["convert", str(cart), str(sph)]) == 0
+    assert sph.read_bytes() == (
+        b"theta,phi\n"
+        b"0.95531661812450919,0.78539816339744828\n"
+        b"2.1862760354652839,5.497787143782138\n"
+        b"2.1862760354652839,2.3561944901923448\n"
+        b"0.95531661812450919,3.9269908169872414\n"
+    )
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -235,6 +293,25 @@ def test_cli_convert_rejects_a_non_numeric_angle(tmp_path, capsys):
     assert main(["convert", str(sph), str(tmp_path / "out.csv")]) == 4
     assert "line 4: field is not a number" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("", "line 1: file holds no points"),
+        ("0.5,1\nnan,1\n", "line 3: coordinates must be finite"),
+        ("0.5,1\n\n0.5,7\n", "line 4: azimuth must lie in [0, 2pi)"),
+        ("0.5,1\n-0.5,1\n", "line 3: polar angle must lie in [0, pi]"),
+    ],
+    ids=["empty", "nan", "azimuth", "polar"],
+)
+def test_cli_convert_refuses_a_bad_angle_file_as_an_io_failure(rows, message, tmp_path, capsys):
+    # the same typed errors, exit code and line numbers as an x,y,z file
+    sph, out = tmp_path / "pts_sph.csv", tmp_path / "out.csv"
+    sph.write_text("theta,phi\n" + rows)
+    assert main(["convert", str(sph), str(out)]) == 4
+    assert capsys.readouterr().err == f"i/o failure: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_interpolate_model_json(tmp_path):
@@ -410,6 +487,16 @@ def test_cli_series_score_with_a_zero_symbol_exits_3(s, tmp_path, capsys):
     assert "symbol at degree 1 is" in captured.err
 
 
+def test_cli_series_score_at_an_even_negative_riesz_exponent(tmp_path, capsys):
+    # |x - y|^4 has modes 1 and 2 only, and the octahedron, a 3-design,
+    # zeroes both; the gamma poles at s = -4 used to exit 3
+    pts_path = tmp_path / "oct.csv"
+    write_pointset(pts_path, PointSet(np.vstack([np.eye(3), -np.eye(3)])))
+    assert main(["score", str(pts_path), "--kernel", "riesz:s=-4", "--nmax", "10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["value"], payload["n_max"], payload["flags"]) == (0.0, 10, [])
+
+
 def test_cli_sweep_refuses_a_grid_of_a_million_points(tmp_path, capsys):
     # the first two spans overflow to inf, which used to end in an
     # OverflowError; the last would have listed two million epsilons
@@ -465,17 +552,22 @@ def test_cli_generate_with_an_overflowing_kernel_exits_3(tmp_path, capsys):
         (["score", "{in}", "--kernel", "gine", "--nmax", "20", "--out", "{out}"], True),
         (["interpolate", "{in}", "--epsilon", "1.5", "--out", "{out}"], True),
         (["sweep", "{in}", "--epsilon", "1:2:0.5", "--out", "{out}"], True),
+        (["convert", "{in}", "{out}"], False),
+        (["convert", "{sph}", "{out}"], False),
     ],
     ids=["import", "generate", "refine", "score", "score-pycke-series",
-         "score-gine-series", "interpolate", "sweep"],
+         "score-gine-series", "interpolate", "sweep", "convert-to-angles",
+         "convert-from-angles"],
 )
 def test_scipy_loads_only_with_a_lapack_solve_or_a_gamma_symbol(argv, loads, tmp_path):
     # membership in sys.modules of a fresh interpreter, not an import time
-    pts = tmp_path / "pts.csv"
+    pts, sph = tmp_path / "pts.csv", tmp_path / "pts_sph.csv"
     write_pointset(pts, random_unit_points(14, seed=4))
+    assert main(["convert", str(pts), str(sph)]) == 0
     call = "0"
     if argv is not None:
-        argv = [a.replace("{in}", str(pts)).replace("{out}", str(tmp_path / "out")) for a in argv]
+        paths = {"{in}": pts, "{sph}": sph, "{out}": tmp_path / "out"}
+        argv = [str(paths.get(a, a)) for a in argv]
         call = f"main({argv!r})"
     script = (
         f"import sys, sphereq; from sphereq.cli import main; rc = {call}; "

@@ -127,9 +127,13 @@ def test_nan_and_fractional_orders_raise_domain_error(fn, args):
 
 @pytest.mark.parametrize("s", [-2000.0, 1e308, -1e308])
 def test_a_riesz_symbol_log_gamma_cannot_form_raises(s):
-    # gamma poles at an even negative s, inf - inf for a huge |s|
-    with pytest.raises(ConditioningError, match="riesz symbol at degree 3 is nan$"):
-        symbol_squared("riesz", 3, s)
+    # inf - inf for a huge positive s; an even negative s meets gamma poles,
+    # where the symbol is a finite product times 2^(s-2), which underflows
+    if s > 0.0:
+        with pytest.raises(ConditioningError, match="riesz symbol at degree 3 is nan$"):
+            symbol_squared("riesz", 3, s)
+    else:
+        assert repr(symbol_squared("riesz", 3, s)) == "0.0"
 
 
 def test_a_riesz_value_or_mean_that_overflows_raises():
@@ -296,13 +300,15 @@ def test_symbol_positivity_and_parity():
                 assert val is None
             else:
                 assert val is not None and val > 0.0
-    seq = SymbolSequence("riesz", s=1.5)
-    assert all(seq.value(n) > 0 for n in range(1, 201))
+    for s in (1.5, -0.5, -1.5):  # sign(s) |x - y|^-s has positive modes for -2 < s < 2
+        seq = SymbolSequence("riesz", s=s)
+        assert all(seq.value(n) > 0 for n in range(1, 201))
 
 
-@pytest.mark.parametrize("s, value", [(-2001.0, "-0.0"), (2.0, "0.0"), (-2000.0, "nan")])
+@pytest.mark.parametrize("s, value", [(-2001.0, "0.0"), (2.0, "0.0"), (-2000.0, "0.0")])
 def test_a_symbol_without_a_finite_weight_names_its_degree(s, value):
-    # -2001 underflows to -0.0, s = 2 is 0 exactly, and -2000 meets gamma poles
+    # -2001 and -2000 underflow to 0 (-2000 by its finite product at the gamma
+    # poles), and s = 2 is 0 exactly
     with pytest.raises(ConditioningError, match=f"riesz symbol at degree 1 is {value}$"):
         SymbolSequence("riesz", s=s).series_weights(4)
 
@@ -314,6 +320,17 @@ def test_an_overflowed_symbol_gives_a_zero_weight():
 
 
 # --- truncated series -------------------------------------------------------
+
+@pytest.mark.parametrize("s, n_max, tol", [(-0.5, 400, 2e-5), (-1.5, 400, 1e-7),
+                                           (-3.0, 400, 1e-10), (-4.0, 10, 1e-13)])
+def test_riesz_series_differences_match_the_closed_form_at_negative_s(s, n_max, tol):
+    # the series has no constant mode, so differences across t are compared;
+    # |x - y|^4 (s = -4) has modes 1 and 2 only
+    t = np.linspace(-0.9, 0.9, 19)
+    series = kernel_series_eval("riesz", 0, t, n_max, s=s).value
+    closed = kernel_eval(KernelSpec("riesz", s=s), t)
+    assert np.max(np.abs(np.diff(series) - np.diff(closed))) < tol
+
 
 def test_series_matches_pycke_closed_form():
     got = kernel_series_eval("pycke", 0, 0.0, 5000)
