@@ -169,10 +169,10 @@ def _cmd_table2(args) -> int:
 
 def _cmd_convert(args) -> int:
     header, pts = read_points(args.input)
-    if header == "theta,phi":
-        write_pointset(args.out, pts)
-    elif args.format == "json":
+    if args.format == "json":
         _emit(json.dumps({"points": pts.points.tolist()}) + "\n", args.out)
+    elif header == "theta,phi":
+        write_pointset(args.out, pts)
     else:
         _emit(csv_text("theta,phi", map(cartesian_to_spherical, pts.points)), args.out)
     return 0

@@ -56,6 +56,7 @@ from .kernels import (
     SymbolSequence,
     _half_chords,
     _kernel_eval_u,
+    _last_mode,
     _truncation,
     is_singular_at_coincidence,
 )
@@ -352,6 +353,8 @@ def _series_report(
     m: int,
     s: float | None,
 ) -> DiscrepancyReport:
+    # no mode above n_max: the truncated sum is the whole series
+    exact = _last_mode(family, s) <= sums.size - 1
     for _ in range(m):
         sums = _differentiate_sums(sums)
     n_max = sums.size - 1
@@ -365,7 +368,7 @@ def _series_report(
         total = _finite(neumaier_sum(terms))
         tail = abs(terms[-1])
         tail_block = abs(neumaier_sum(terms[-max(1, len(terms) // 10) :]))
-        if tail_block > 1e-3 * max(1.0, abs(total)):
+        if not exact and tail_block > 1e-3 * max(1.0, abs(total)):
             flags.append("non_convergent")
     clamped = total < 0.0
     if clamped:
@@ -397,8 +400,9 @@ def series_generalized_discrepancy(
     The diagonal is always included (each term is finite).  The report
     carries the last contributing term as a tail estimate and flags
     apparent non-convergence (the final decade of terms still contributing
-    more than 1e-3 of the total).  The route to the power sums is chosen
-    from the input, as the module docstring describes.
+    more than 1e-3 of the total) unless the symbol has no mode above n_max,
+    so that the truncated sum is the whole series.  The route to the power
+    sums is chosen from the input, as the module docstring describes.
     """
     return min_generalized_discrepancy(pts, family, (m,), n_max, s)[1]
 

@@ -413,8 +413,8 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
         require(-math.inf < s < math.inf, "riesz exponent s must be finite")
         if s == 0.0:
             return n * (n + 1) / _FOUR_PI
-        k = -s / 2.0
-        if k == math.floor(k) and k > 0.0:
+        k = _last_mode(family, s)
+        if k < math.inf:
             if n > k:
                 return None
             # Gamma(k + n + 2)/Gamma(k + 1) over Gamma(k + 1)/Gamma(k + 1 - n), each as
@@ -443,6 +443,17 @@ def symbol_squared(family: str, n: int, s: float | None = None) -> float | None:
             raise ConditioningError(f"riesz symbol at degree {n} is nan")
         return value
     raise DomainError(f"unknown kernel family {family!r}")
+
+
+def _last_mode(family: str, s: float | None = None) -> float:
+    """The highest degree with a mode: -s/2 for riesz at an even negative
+    finite s, where |x - y|^-s is a polynomial of that degree in t; inf
+    for every other symbol."""
+    if family == "riesz" and s is not None and -math.inf < s < 0.0:
+        k = -s / 2.0
+        if k == math.floor(k) and k > 0.0:
+            return k
+    return math.inf
 
 
 @dataclass

@@ -6,11 +6,12 @@ Three generators:
 * greedy sequential minimization of the summed kernel against the points
   placed so far (argmin over a spherical Fibonacci grid, then polished by
   tangent-plane descent: each iteration's step is the damped Newton step
-  on the 2 x 2 tangent Hessian, built from K'' and three-term dots with the
-  tangent basis, or a gradient step where that Hessian is not positive
-  definite, halved in place until its trial lowers the summed kernel; the
-  accepted trial's u row gives the next gradient and Hessian, so each
-  trial forms its dots with the nodes once),
+  on the 2 x 2 tangent Hessian, read off the 3 x 3 moment matrix
+  sum_i K''(t_i) x_i x_i^T, or a gradient step where that Hessian is not
+  positive definite, halved in place until its trial lowers the summed
+  kernel; the gradient and the moment matrix are one contraction each over
+  the accepted trial's u row, so each trial forms its dots with the nodes
+  once, and the polish ends when the step gets shorter than 1e-8),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.  The iterate is kept
   component-major, so a step is a few whole-row passes.  The k-NN scan
@@ -21,10 +22,12 @@ Three generators:
 
 Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
-polish and the grid update take their dots from the builder of the pair
-sums and evaluate the kernel on half-chords they form themselves, exactly
-as :func:`~sphereq.kernels.kernel_eval` forms them; they skip its checks,
-decide coincidence on the dots, and give its values bit for bit.
+polish and the grid update hold their nodes or the grid component-major,
+take their dots from the contraction of the pair sums (one trial or node
+against them all) and evaluate the kernel on half-chords they form
+themselves, exactly as :func:`~sphereq.kernels.kernel_eval` forms them;
+they skip its checks, decide coincidence on the dots, and give its values
+bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .discrepancy import (
     _COINCIDENCE_T,
     PointSet,
     _dot_block,
-    _dot_rows,
     mean_pair_discrepancy,
 )
 from .kernels import (
@@ -140,74 +142,101 @@ def _half_chord_kernel(
     return vals
 
 
+def _clipped_dots(col: np.ndarray, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Dots of the (3, 1) column ``col`` with the component-major (3, M)
+    ``columns``, clipped to [-1, 1], into the (1, M) buffer ``out``."""
+    return np.clip(_dot_block(col, columns, out), -1.0, 1.0, out=out)
+
+
+def _moment_times(m: list[float], v: tuple[float, float, float]) -> tuple[float, float, float]:
+    """M v for the symmetric 3 x 3 matrix M held as m = (xx, xy, xz, yy, yz, zz)."""
+    return (
+        m[0] * v[0] + m[1] * v[1] + m[2] * v[2],
+        m[1] * v[0] + m[3] * v[1] + m[4] * v[2],
+        m[2] * v[0] + m[4] * v[1] + m[5] * v[2],
+    )
+
+
+def _vdot(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _polish(
     eta: np.ndarray,
     pts: np.ndarray,
     spec: KernelSpec,
     step0: float,
-    tol: float = 1e-10,
+    tol: float = 1e-8,
     max_iter: int = 200,
 ) -> np.ndarray:
     """Tangent-plane descent of f(eta) = sum_i K(x_i . eta) on the sphere.
 
     In the tangent basis e_a = g/|g| (g the tangent gradient) and
     e_b = eta x e_a, the Hessian is
-    H_ab = sum_i K''(t_i) (x_i . e_a)(x_i . e_b) - (grad f . eta) delta_ab,
-    from the half-chords u the iteration holds and three-term dots with the
-    basis.  Each iteration has one step d: when H is finite and positive
-    definite, the damped Newton step solving H d = -(|g|, 0), cut to length
-    ``step0`` (the trust region); otherwise the descent step -step0 e_a.
-    The trial normalize(eta + d) is scored, and while it does not lower f
-    the step is halved in place and scored again.  A trial that lands on a
-    node scores +inf and is halved past.  The accepted trial's u row gives
-    the next gradient and Hessian, so no dot with the nodes is formed twice.
+    H_ab = e_a^T M e_b - (grad f . eta) delta_ab, with the moment matrix
+    M = sum_i K''(t_i) x_i x_i^T.  The nodes are held component-major, (3, N),
+    with their six second moments, (6, N), so an iteration takes grad f and M
+    from one contraction each over the half-chord row u it holds; the rest
+    is arithmetic on Python floats.  Each iteration has one step d: when H is
+    finite and positive definite, the damped Newton step solving
+    H d = -(|g|, 0), cut to length ``step0`` (the trust region); otherwise
+    the descent step -step0 e_a.  The trial normalize(eta + d) is scored,
+    one row of dots and kernel values, and while it does not lower f the
+    step is halved in place and scored again.  A trial that lands on a node
+    scores +inf and is halved past.  The accepted trial's u row gives the
+    next gradient and Hessian.
 
-    Descent stops when the step gets shorter than ``tol`` or the gradient
+    Descent stops when the step gets shorter than ``tol``, below which a
+    trial changes f by little more than rounding, or when the gradient
     vanishes or is not finite.  No sum over the nodes goes through BLAS, so
     the result does not depend on its thread count.
     """
-    u, vals = np.empty((1, pts.shape[0])), np.empty((1, pts.shape[0]))
-    p, ab = np.ascontiguousarray(pts.T), np.empty((2, pts.shape[0]))
+    n = pts.shape[0]
+    p = np.ascontiguousarray(pts.T)
+    q = p[[0, 0, 0, 1, 1, 2]] * p[[0, 1, 2, 1, 2, 2]]  # xx, xy, xz, yy, yz, zz
+    col, u, vals = np.empty((3, 1)), np.empty((1, n)), np.empty((1, n))
+    row = u[0]  # the half-chords of the last point scored
     t_derivative, t_second = _t_derivative_u(spec), _t_derivative_u(spec, 2)
+
+    def score(point: tuple[float, float, float]) -> float:
+        col[:, 0] = point
+        return float(np.sum(_half_chord_kernel(spec, _clipped_dots(col, p, u), 1.0, vals)))
+
+    x, y, z = eta.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        row = _dot_rows(eta[None, :], pts)
-        f = np.sum(_half_chord_kernel(spec, row, 1.0), axis=1)[0]
-        u_eta = row[0]
+        f = score((x, y, z))
         for _ in range(max_iter):
-            dk = t_derivative(u_eta)
-            grad = np.sum(dk[:, None] * pts, axis=0)
-            radial = np.dot(grad, eta)
-            g_t = grad - radial * eta
-            g_norm = float(np.sqrt(np.dot(g_t, g_t)))
+            gx, gy, gz = np.einsum("ki,i->k", p, t_derivative(row)).tolist()
+            radial = gx * x + gy * y + gz * z
+            g_t = gx - radial * x, gy - radial * y, gz - radial * z
+            g_norm = math.sqrt(_vdot(g_t, g_t))
             if g_norm == 0.0 or not math.isfinite(g_norm):
                 break
-            e_a = g_t / g_norm
-            (x, y, z), (a, b, c) = eta.tolist(), e_a.tolist()
-            e_b = np.array([y * c - z * b, z * a - x * c, x * b - y * a])  # eta x e_a
-            _dot_block(np.column_stack([e_a, e_b]), p, ab)
-            w = t_second(u_eta)
-            wa = w * ab[0]
+            e_a = a, b, c = g_t[0] / g_norm, g_t[1] / g_norm, g_t[2] / g_norm
+            e_b = y * c - z * b, z * a - x * c, x * b - y * a  # eta x e_a
+            moments = np.einsum("ki,i->k", q, t_second(row)).tolist()
+            m_a = _moment_times(moments, e_a)
             d_a, d_b = _newton_step(
                 g_norm,
-                float(np.sum(wa * ab[0])) - radial,
-                float(np.sum(wa * ab[1])),
-                float(np.sum(w * ab[1] * ab[1])) - radial,
+                _vdot(e_a, m_a) - radial,
+                _vdot(e_b, m_a),
+                _vdot(e_b, _moment_times(moments, e_b)) - radial,
                 step0,
             ) or (-step0, 0.0)
-            length, step = math.hypot(d_a, d_b), d_a * e_a + d_b * e_b
+            length = math.hypot(d_a, d_b)
+            sx, sy, sz = d_a * a + d_b * e_b[0], d_a * b + d_b * e_b[1], d_a * c + d_b * e_b[2]
             while length >= tol:
-                trial = eta + step
-                trial /= math.sqrt(float(np.dot(trial, trial)))
-                _dot_rows(trial[None, :], pts, out=u)
-                f_trial = np.sum(_half_chord_kernel(spec, u, 1.0, vals), axis=1)[0]
+                trial = x + sx, y + sy, z + sz
+                norm = math.sqrt(_vdot(trial, trial))
+                trial = trial[0] / norm, trial[1] / norm, trial[2] / norm
+                f_trial = score(trial)
                 if f_trial < f:
                     break
-                step *= 0.5
-                length *= 0.5
+                sx, sy, sz, length = 0.5 * sx, 0.5 * sy, 0.5 * sz, 0.5 * length
             else:  # no trial as long as tol lowered f
                 break
-            eta, f, u_eta = trial, f_trial, u[0]
-    return eta
+            (x, y, z), f = trial, f_trial
+    return np.array([x, y, z])
 
 
 def _newton_step(
@@ -236,21 +265,24 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
     :class:`ConfigurationError` when no candidate remains, and
     :class:`ConditioningError` when a summed kernel is NaN or -inf.
     """
-    scores = _grid_scores(pts.points, spec, grid.points.points)
+    columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
+    scores = _grid_scores(pts.points, spec, columns)
     return _select_and_polish(pts.points, spec, grid, scores)
 
 
-def _grid_kernel(spec: KernelSpec, grid_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K(grid . x) for every candidate; +inf where a singular K meets x."""
-    return _half_chord_kernel(spec, _dot_rows(x[None, :], grid_pts)[0], _COINCIDENCE_T)
+def _grid_kernel(spec: KernelSpec, columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K(grid . x) for every candidate of the component-major (3, M) grid;
+    +inf where a singular K meets x."""
+    t = _clipped_dots(x.reshape(3, 1), columns, np.empty((1, columns.shape[1])))
+    return _half_chord_kernel(spec, t[0], _COINCIDENCE_T)
 
 
 def _grid_scores(
-    pts: np.ndarray, spec: KernelSpec, grid_pts: np.ndarray
+    pts: np.ndarray, spec: KernelSpec, columns: np.ndarray
 ) -> np.ndarray:
-    scores = np.zeros(grid_pts.shape[0])
+    scores = np.zeros(columns.shape[1])
     for x in pts:
-        scores += _grid_kernel(spec, grid_pts, x)
+        scores += _grid_kernel(spec, columns, x)
     return scores
 
 
@@ -283,11 +315,12 @@ def greedy_generate(
     first = greedy_initial(seed)
     out = np.empty((n, 3))
     out[0] = first
-    scores = _grid_scores(out[:1], spec, grid.points.points)
+    columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
+    scores = _grid_scores(out[:1], spec, columns)
     for k in range(1, n):
         eta = _select_and_polish(out[:k], spec, grid, scores)
         out[k] = eta
-        scores += _grid_kernel(spec, grid.points.points, eta)
+        scores += _grid_kernel(spec, columns, eta)
     return PointSet(out, seed=seed, provenance=f"greedy:{spec.name}")
 
 

@@ -11,6 +11,7 @@ from sphereq import discrepancy, tables
 from sphereq.errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from sphereq.kernels import KernelSpec, SymbolSequence, kernel_eval, parse_kernel
 from sphereq.legendre import derivative_recurrence
+from sphereq.pointgen import random_unit_points
 from sphereq.summation import block_sum, neumaier_sum
 from sphereq.discrepancy import (
     EXCLUDE,
@@ -215,6 +216,21 @@ def test_series_single_point_pycke_diverges():
     big = series_generalized_discrepancy(single(), "pycke", 0, 4000)
     assert big.value > small.value
     assert "non_convergent" in big.flags
+
+
+@pytest.mark.parametrize("s, m", [(-2.0, 0), (-4.0, 0), (-4.0, 1), (-6.0, 2)])
+def test_an_exact_series_is_not_flagged_non_convergent(s, m):
+    # |x - y|^-s at an even negative s has modes 1..-s/2 only, so the sum to
+    # n_max 90 is the whole series, though its last term is a large share
+    pts = random_unit_points(14, seed=4)
+    report = series_generalized_discrepancy(pts, "riesz", m, 90, s=s)
+    assert "non_convergent" not in report.flags
+
+
+def test_a_truncated_series_keeps_its_non_convergent_flag():
+    # gine has even modes of every degree; at n_max 2 only n = 2 is summed
+    report = series_generalized_discrepancy(random_unit_points(14, seed=4), "gine", 0, 2)
+    assert "non_convergent" in report.flags
 
 
 def test_series_antipodal_matches_closed_form_after_scale():

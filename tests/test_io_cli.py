@@ -287,6 +287,18 @@ def test_cli_convert_json(tmp_path):
     assert len(payload["points"]) == 4
 
 
+def test_cli_convert_json_from_angles_matches_json_from_vectors(tmp_path):
+    cart, sph, back = tmp_path / "pts.csv", tmp_path / "pts_sph.csv", tmp_path / "back.csv"
+    write_pointset(cart, tetrahedron())
+    assert main(["convert", str(cart), str(sph)]) == 0
+    assert main(["convert", str(sph), str(back)]) == 0
+    from_sph, from_back = tmp_path / "sph.json", tmp_path / "back.json"
+    assert main(["convert", str(sph), str(from_sph), "--format", "json"]) == 0
+    assert main(["convert", str(back), str(from_back), "--format", "json"]) == 0
+    assert from_sph.read_bytes() == from_back.read_bytes()
+    assert len(json.loads(from_sph.read_text())["points"]) == 4
+
+
 def test_cli_convert_rejects_a_non_numeric_angle(tmp_path, capsys):
     sph = tmp_path / "pts_sph.csv"
     sph.write_text("theta,phi\n0.5,1\n\nabc,1\n")
@@ -495,6 +507,16 @@ def test_cli_series_score_at_an_even_negative_riesz_exponent(tmp_path, capsys):
     assert main(["score", str(pts_path), "--kernel", "riesz:s=-4", "--nmax", "10"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["value"], payload["n_max"], payload["flags"]) == (0.0, 10, [])
+
+
+def test_cli_series_score_of_a_polynomial_riesz_kernel_is_not_flagged(tmp_path, capsys):
+    # at s = -4 the modes end at degree 2, so n_max 90 sums the whole series
+    pts_path = tmp_path / "pts.csv"
+    write_pointset(pts_path, random_unit_points(14, seed=4))
+    assert main(["score", str(pts_path), "--kernel", "riesz:s=-4", "--nmax", "90"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_max"] == 90
+    assert "non_convergent" not in payload["flags"]
 
 
 def test_cli_sweep_refuses_a_grid_of_a_million_points(tmp_path, capsys):

@@ -54,17 +54,36 @@ def _objective_oracle(pts, spec, eta):
     return float(np.sum(vals))
 
 
+def _vec_dot(a, b):
+    """The three-term dot (a0 b0 + a1 b1) + a2 b2 on Python floats."""
+    return float(a[0]) * float(b[0]) + float(a[1]) * float(b[1]) + float(a[2]) * float(b[2])
+
+
+def _gradient_oracle(pts, spec, t):
+    """grad f = sum_i K'(t_i) x_i as a list, one einsum contraction (no BLAS)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dk = np.atleast_1d(kernel_t_derivative(spec, t))
+        return np.einsum("ki,i->k", np.ascontiguousarray(pts.T), dk).tolist()
+
+
 def _newton_step_oracle(pts, spec, eta, t, grad, e_a, e_b, g_norm, step0):
-    """The damped Newton step (d_a, d_b) from plain K'' sums, or None when the
-    tangent Hessian is not finite and positive definite."""
-    a = (pts[:, 0] * e_a[0] + pts[:, 1] * e_a[1]) + pts[:, 2] * e_a[2]
-    b = (pts[:, 0] * e_b[0] + pts[:, 1] * e_b[1]) + pts[:, 2] * e_b[2]
+    """The damped Newton step (d_a, d_b) from the moment matrix
+    M = sum_i K''(t_i) x_i x_i^T, H = e^T M e - (grad f . eta) delta, or None
+    when the tangent Hessian is not finite and positive definite."""
+    x, y, z = (np.ascontiguousarray(c) for c in pts.T)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k2 = kernels._t_derivative_u(spec, 2)(np.sqrt((1.0 - t) / 2.0))
-        radial = float(np.dot(grad, eta))
-        h_aa = float(np.sum(k2 * a * a)) - radial
-        h_ab = float(np.sum(k2 * a * b))
-        h_bb = float(np.sum(k2 * b * b)) - radial
+        second = np.stack([x * x, x * y, x * z, y * y, y * z, z * z])
+        xx, xy, xz, yy, yz, zz = np.einsum("ki,i->k", second, k2).tolist()
+    m = [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
+
+    def form(a, b):  # a^T (M b)
+        return _vec_dot(a, [_vec_dot(row, b) for row in m])
+
+    radial = _vec_dot(grad, eta)
+    h_aa = form(e_a, e_a) - radial
+    h_ab = form(e_b, e_a)
+    h_bb = form(e_b, e_b) - radial
     det = h_aa * h_bb - h_ab * h_ab
     if not (h_aa > 0.0 and det > 0.0 and math.isfinite(det)):
         return None
@@ -86,36 +105,38 @@ def _objective_or_inf(pts, spec, trial):
         return math.inf
 
 
-def _polish_oracle(eta, pts, spec, step0, tol=1e-10, max_iter=200):
+def _polish_oracle(eta, pts, spec, step0, tol=1e-8, max_iter=200):
     """Reference polish: the Newton step, or -step0 e_a where the tangent
     Hessian is not positive definite, halved until a trial scores below eta,
-    with one objective evaluation per trial."""
-    f = _objective_oracle(pts, spec, eta)
+    with one objective evaluation per trial; vectors of three are Python
+    floats."""
+    eta = eta.tolist()
+    f = _objective_oracle(pts, spec, np.array(eta))
     for _ in range(max_iter):
         t = _dots(pts, eta)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dk = np.atleast_1d(kernel_t_derivative(spec, t))
-            grad = np.sum(dk[:, None] * pts, axis=0)
-        g_t = grad - np.dot(grad, eta) * eta
-        g_norm = float(np.sqrt(np.dot(g_t, g_t)))
+        grad = _gradient_oracle(pts, spec, t)
+        radial = _vec_dot(grad, eta)
+        g_t = [g - radial * e for g, e in zip(grad, eta)]
+        g_norm = math.sqrt(_vec_dot(g_t, g_t))
         if g_norm == 0.0 or not math.isfinite(g_norm):
             break
-        e_a = g_t / g_norm
-        e_b = np.cross(eta, e_a)
+        e_a = [g / g_norm for g in g_t]
+        e_b = np.cross(eta, e_a).tolist()
         d = _newton_step_oracle(pts, spec, eta, t, grad, e_a, e_b, g_norm, step0)
         d_a, d_b = d if d is not None else (-step0, 0.0)
-        step, length = d_a * e_a + d_b * e_b, math.hypot(d_a, d_b)
+        step, length = [d_a * a + d_b * b for a, b in zip(e_a, e_b)], math.hypot(d_a, d_b)
         while True:
             if length < tol:
-                return eta
-            trial = eta + step
-            trial /= math.sqrt(float(np.dot(trial, trial)))
-            f_trial = _objective_or_inf(pts, spec, trial)
+                return np.array(eta)
+            trial = [e + s for e, s in zip(eta, step)]
+            norm = math.sqrt(_vec_dot(trial, trial))
+            trial = [v / norm for v in trial]
+            f_trial = _objective_or_inf(pts, spec, np.array(trial))
             if f_trial < f:
                 break
-            step, length = step / 2.0, length / 2.0
+            step, length = [v / 2.0 for v in step], length / 2.0
         eta, f = trial, f_trial
-    return eta
+    return np.array(eta)
 
 
 def tetrahedron() -> PointSet:
@@ -268,7 +289,7 @@ def test_polish_passes_over_one_trial_on_a_node(name):
 
 
 def test_polish_halves_a_refused_newton_step_along_itself():
-    # eta = e_z, with 24 copies of a node on the +x side and two pairs at
+    # eta = e_z, with 23 copies of a node on the +x side and two pairs at
     # +-y, mirror images across y = 0: the gradient is exactly +x and the
     # tangent Hessian diagonal.  A node c is planted on the Newton trial
     # normalize(eta + d e_x), which it moves; iterating d to a fixed point
@@ -279,7 +300,7 @@ def test_polish_halves_a_refused_newton_step_along_itself():
     step0 = 1.0
     side = [math.sin(1.5), 0.0, math.cos(1.5)]
     pair = [[0.0, math.sin(1.0), math.cos(1.0)], [0.0, -math.sin(1.0), math.cos(1.0)]]
-    base = np.array([side] * 24 + pair * 2)
+    base = np.array([side] * 23 + pair * 2)
 
     def trial(d_a):
         v = eta + d_a * e_x
@@ -288,7 +309,7 @@ def test_polish_halves_a_refused_newton_step_along_itself():
     nodes, d_a = base, None  # from the Newton step without c
     for _ in range(100):
         t = _dots(nodes, eta)
-        grad = np.sum(kernel_t_derivative(PYCKE, t)[:, None] * nodes, axis=0)
+        grad = _gradient_oracle(nodes, PYCKE, t)
         assert grad[0] > 0.0 and grad[1] == 0.0
         d = _newton_step_oracle(nodes, PYCKE, eta, t, grad, e_x, e_y, float(grad[0]), step0)
         if d == (d_a, 0.0):
@@ -324,6 +345,36 @@ def _x_trial(eta, alpha, sign):
     """eta stepped by alpha along sign * e_x, normalized as the polish does."""
     v = eta - alpha * np.array([sign, 0.0, 0.0])
     return v / np.sqrt(np.vecdot(v, v))
+
+
+@pytest.mark.parametrize(
+    "name", ["pycke", "pycke:d1", "pycke:d2", "cui-freeden", "riesz:s=1"]
+)
+def test_polish_ends_when_a_refused_step_halves_below_the_floor(name, monkeypatch):
+    # Two nodes on the great circle y = 0 through eta = e_z, one 0.01 toward
+    # +x and one 0.01 + 1e-9 toward -x: f is least 5e-10 from eta toward -x,
+    # and the tangent Hessian is indefinite (its e_y entry is
+    # -grad f . eta < 0).  The first step is the descent step of length
+    # step0 = 1.5e-8 toward -x, which overshoots that minimum and raises f.
+    # Halved it is shorter than 1e-8, so the polish ends at eta, having
+    # scored one trial row after the row of eta itself.
+    spec = parse_kernel(name)
+    eta, step0, near = np.array([0.0, 0.0, 1.0]), 1.5e-8, 0.01
+    nodes = np.array(
+        [[math.sin(near), 0.0, math.cos(near)], [-math.sin(near + 1e-9), 0.0, math.cos(near + 1e-9)]]
+    )
+    trial = _x_trial(eta, step0, 1.0)
+    assert _objective_oracle(nodes, spec, trial) > _objective_oracle(nodes, spec, eta)
+    rows, score = [], pointgen._half_chord_kernel
+    monkeypatch.setattr(
+        pointgen, "_half_chord_kernel", lambda *args: rows.append(1) or score(*args)
+    )
+    out = pointgen._polish(eta, nodes, spec, step0)
+    assert out.tobytes() == eta.tobytes() == _polish_oracle(eta, nodes, spec, step0).tobytes()
+    assert len(rows) == 2
+    rows.clear()
+    pointgen._polish(eta, nodes, spec, step0, tol=1e-10)
+    assert len(rows) > 2  # with a lower floor the halving goes on
 
 
 @settings(max_examples=80, deadline=None)
@@ -377,6 +428,7 @@ def test_polish_is_bit_identical_to_the_oracle(name, n, seed, step0, plant, j, k
 def test_grid_update_matches_a_kernel_eval_grid_sum(name):
     spec = parse_kernel(name)
     grid = candidate_grid(1024).points.points
+    columns = np.ascontiguousarray(grid.T)  # the grid as the greedy update holds it
     near = grid[40] + np.array([0.0, 1e-7, 0.0])  # 1 - t about 5e-15
     xs = [grid[7], near / np.linalg.norm(near), random_unit_points(1, 5).points[0]]
     got, want = np.zeros(len(grid)), np.zeros(len(grid))
@@ -387,7 +439,7 @@ def test_grid_update_matches_a_kernel_eval_grid_sum(name):
             vals = kernel_eval(spec, np.where(hit, 0.0, t))
         vals[hit] = np.inf
         want += vals
-        got += pointgen._grid_kernel(spec, grid, x)
+        got += pointgen._grid_kernel(spec, columns, x)
     assert got.tobytes() == want.tobytes()
     assert np.isinf(got).any() == is_singular_at_coincidence(spec)
     # an antipodal candidate still raises where kernel_eval raises
@@ -395,7 +447,7 @@ def test_grid_update_matches_a_kernel_eval_grid_sum(name):
         with pytest.raises(SingularKernelError):
             kernel_eval(spec, _dots(grid, -grid[7]))
         with pytest.raises(SingularKernelError):
-            pointgen._grid_kernel(spec, grid, -grid[7])
+            pointgen._grid_kernel(spec, columns, -grid[7])
 
 @pytest.mark.parametrize("name", ["pycke", "pycke:d1", "pycke:d2"])
 def test_greedy_generate_matches_oracle_polish(name, monkeypatch):
@@ -481,11 +533,17 @@ def test_greedy_nodes_sit_at_or_below_the_grid_optimum(name):
 
 
 def test_greedy_nodes_do_not_depend_on_the_blas_thread_count():
+    # Besides a greedy sequence, one polish against 12000 random nodes: a
+    # BLAS reduction that long (a ddot above 10000 entries in OpenBLAS)
+    # splits across threads and changes its last bits with their count.
     script = (
         "import sys; from sphereq.kernels import parse_kernel; "
-        "from sphereq.pointgen import greedy_generate; "
-        "sys.stdout.write(greedy_generate(40, parse_kernel('pycke:d2'), seed=3, "
-        "grid_size=1024).points.tobytes().hex())"
+        "from sphereq.pointgen import _polish, greedy_generate, random_unit_points; "
+        "spec = parse_kernel('pycke:d2'); "
+        "nodes = greedy_generate(40, spec, seed=3, grid_size=1024).points; "
+        "far = random_unit_points(12000, 8).points; "
+        "eta = _polish(random_unit_points(1, 9).points[0], far, spec, 0.05); "
+        "sys.stdout.write(nodes.tobytes().hex() + eta.tobytes().hex())"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
@@ -496,7 +554,7 @@ def test_greedy_nodes_do_not_depend_on_the_blas_thread_count():
         )
         assert done.returncode == 0, done.stderr[-2000:]
         outs.append(done.stdout)
-    assert len(outs[0]) == 40 * 3 * 8 * 2
+    assert len(outs[0]) == 41 * 3 * 8 * 2
     assert outs[0] == outs[1]
 
 
