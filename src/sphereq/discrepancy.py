@@ -48,6 +48,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _einsum  # np.einsum without its wrapper
+from numpy._core.umath import clip as _clip  # the ufunc that np.clip calls
 
 from .errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from .errors import require, whole
@@ -55,8 +57,9 @@ from .kernels import (
     KernelSpec,
     SymbolSequence,
     _half_chords,
-    _kernel_eval_u,
     _last_mode,
+    _plan,
+    _quiet,
     _truncation,
     is_singular_at_coincidence,
 )
@@ -157,7 +160,7 @@ def _dot_block(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     if out.shape == (1, 1):
         out[0, 0] = (a[0, 0] * b[0, 0] + a[1, 0] * b[1, 0]) + a[2, 0] * b[2, 0]
         return out
-    return np.einsum("ki,kj->ij", a, b, out=out)
+    return _einsum("ki,kj->ij", a, b, out=out)
 
 
 def _dot_rows(
@@ -173,7 +176,7 @@ def _dot_rows(
     a, b = np.ascontiguousarray(block.T), np.ascontiguousarray(pts.T)
     t = np.empty((a.shape[1], b.shape[1])) if out is None else out
     _dot_block(a, b, t)
-    return np.clip(t, -1.0, 1.0, out=t)
+    return _clip(t, -1.0, 1.0, out=t)
 
 
 def pair_dot_matrix(pts: PointSet) -> np.ndarray:
@@ -211,6 +214,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
     n = len(p)
     exclude = diagonal_policy == EXCLUDE
     buf = np.empty(n * min(n, PAIR_ROWS))
+    value = _plan(spec).value
 
     def row_block(i0: int, i1: int) -> float:
         b = i1 - i0
@@ -234,13 +238,14 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
                     indices=(i, j),
                 )
         # the clip keeps u in [0, 1], so only the singularity checks remain
-        k = _kernel_eval_u(spec, _half_chords(u), out=u)
+        k = value(_half_chords(u), u)
         if exclude:
             k[d, d] = 0.0
         return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
 
-    blocks = range(0, n, PAIR_ROWS)
-    return _finite(neumaier_sum([row_block(i, min(i + PAIR_ROWS, n)) for i in blocks]))
+    with _quiet():
+        partials = [row_block(i, min(i + PAIR_ROWS, n)) for i in range(0, n, PAIR_ROWS)]
+    return _finite(neumaier_sum(partials))
 
 
 def rms_discrepancy(
@@ -435,7 +440,6 @@ def min_generalized_discrepancy(
     return best_m, best
 
 
-@np.errstate(invalid="ignore")  # an overflowed K under weights of both signs, caught below
 def measure_inner_product(
     mu: WeightedMeasure, omega: WeightedMeasure, spec: KernelSpec
 ) -> float:
@@ -448,14 +452,17 @@ def measure_inner_product(
     pa, pb = mu.points.points, omega.points.points
     wa, wb = mu.weights, omega.weights
     n = pa.shape[0]
+    value = _plan(spec).value
 
     def row_block(i0: int, i1: int) -> float:
         # the clipped dots are in range, so only the singularity checks remain
-        k = _kernel_eval_u(spec, _half_chords(_dot_rows(pa[i0:i1], pb)))
-        return block_sum(k * (wa[i0:i1][:, None] * wb[None, :]))
+        u = _half_chords(_dot_rows(pa[i0:i1], pb))
+        return block_sum(value(u, u) * (wa[i0:i1][:, None] * wb[None, :]))
 
-    blocks = range(0, n, PAIR_ROWS)
-    return _finite(neumaier_sum([row_block(i, min(i + PAIR_ROWS, n)) for i in blocks]))
+    # an overflowed K under weights of both signs makes a NaN, caught below
+    with _quiet():
+        partials = [row_block(i, min(i + PAIR_ROWS, n)) for i in range(0, n, PAIR_ROWS)]
+    return _finite(neumaier_sum(partials))
 
 
 def signed_discrepancy(

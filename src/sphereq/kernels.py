@@ -31,14 +31,23 @@ polish's Newton step uses is the closed form of order m + 2; pycke m = 0
 and cui-freeden have their own formulas for both.
 Constant factors are dropped where noted because every downstream use
 (argmin searches, relative comparisons) is scale-invariant.
+
+Each formula is written once, as a chain of in-place ufuncs on u in the
+order its expression evaluates, so every caller gets the same bits.  The
+table ``_FORMS`` gives the value, d/dt and d^2/dt^2 chains of a family at
+order m, and ``_plan`` resolves a KernelSpec into them once per spec.
+Chains enter no error state; a hot loop enters it once through ``_quiet``
+(a greedy sequence once for all its nodes, a pair sum or measure form once
+per call), as do :func:`kernel_eval` and :func:`kernel_t_derivative`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,61 +158,77 @@ def _riesz_shift(s: float) -> float:
     return math.copysign(1.0, s) * scale / (1.0 - s / 2.0)
 
 
-def _eval_u(
-    spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate the closed form on the half-chord variable u = r/2 >= 0.
+# ---------------------------------------------------------------------------
+# Plans.  A chain runs chain(u, out) -> out in place and enters no error
+# state; a value chain may take out = u, a derivative chain may not.
 
-    The result goes into ``out``, a new array when it is None; ``out`` may be
-    ``u`` itself.  Each formula is a chain of ufuncs writing into ``out`` in
-    the order its expression evaluates, so every caller gets the same bits.
-    """
-    family, m, s = spec.family, spec.m, spec.s
-    v = np.empty_like(u) if out is None else out
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # +-inf, NaN at u = 0
-        if family == "pycke" and m == 0:
-            # -(1 + 2 ln u) / 4pi
-            np.log(u, out=v)
-            v *= 2.0
-            v += 1.0
-            np.negative(v, out=v)
-            v /= _FOUR_PI
-        elif family == "riesz" and s == 0.0 and m == 0:
-            # -2 ln 2u
-            np.multiply(2.0, u, out=v)
-            np.log(v, out=v)
-            v *= -2.0
-        elif family == "pycke" or s == 0.0:  # m >= 1: (m-1)!/(1-t)^m, 1 - t = 2u^2
-            if m == 1:
-                np.multiply(2.0 * u, u, out=v)
-            else:
-                np.power(u, 2 * m, out=v)
-                v *= 2.0**m
-            np.divide(float(math.factorial(m - 1)), v, out=v)
-        elif family == "riesz":
-            # sign(s) 2^m poch(s/2, m) (2u)^(-(s+2m)); at m = 0, sign(s) (2u)^-s
-            # and, for m >= 1, the exact t-derivative
-            poch = 1.0
-            for j in range(m):
-                poch *= s / 2.0 + j
-            np.multiply(2.0, u, out=v)
-            v **= -(s + 2 * m)
-            v *= math.copysign(1.0, s) * 2.0**m * poch
-        elif family == "cui-freeden":
-            if m == 0:
-                np.log1p(u, out=v)  # 1 - 2 ln(1 + u)
-                v *= 2.0
-                np.subtract(1.0, v, out=v)
-            else:
-                np.add(1.0, u, out=v)  # |d^m K/dr^m| / m! = 2^(1-m)/(m (1+u)^m)
-                if m > 1:
-                    v **= m
-                np.divide(2.0 ** (1 - m) / m, v, out=v)
-        else:
-            _eval_arc(family, m, np.minimum(u, 1.0, out=v))
-        if spec.shifted and m == 0:
-            v -= _riesz_shift(s)
+
+def _pycke_log(u, v):  # -(1 + 2 ln u) / 4pi
+    np.log(u, out=v)
+    v *= 2.0
+    v += 1.0
+    np.negative(v, out=v)
+    v /= _FOUR_PI
     return v
+
+
+def _riesz_log(u, v):  # -2 ln 2u
+    np.log(np.multiply(2.0, u, out=v), out=v)
+    v *= -2.0
+    return v
+
+
+def _cf_log(u, v):  # 1 - 2 ln(1 + u)
+    np.log1p(u, out=v)
+    v *= 2.0
+    return np.subtract(1.0, v, out=v)
+
+
+def _pole(m: int, scale: float | None = None):
+    # (m-1)! / (scale u^2m); at scale 2^m, (m-1)!/(1-t)^m with 1 - t = 2u^2
+    top, scale = float(math.factorial(m - 1)), 2.0**m if scale is None else scale
+
+    def chain(u, v):
+        if m == 1:
+            np.multiply(scale * u, u, out=v)
+        else:
+            np.power(u, 2 * m, out=v)
+            v *= scale
+        return np.divide(top, v, out=v)
+
+    return chain
+
+
+def _riesz_power(m: int, s: float):
+    # sign(s) 2^m poch(s/2, m) (2u)^(-(s+2m)); at m = 0, sign(s) (2u)^-s and,
+    # for m >= 1, the exact t-derivative
+    power, poch = -(s + 2 * m), math.prod(s / 2.0 + j for j in range(m))
+    scale = math.copysign(1.0, s) * 2.0**m * poch
+
+    def chain(u, v):
+        np.multiply(2.0, u, out=v)
+        v **= power
+        v *= scale
+        return v
+
+    return chain
+
+
+def _cf(m: int, order: int):
+    # order 0: 2^(1-m)/(m (1+u)^m), m >= 1; d/dt of the order-m form (order 1):
+    # 1/(2^(m+1) u (1+u)^(m+1)); d^2/dt^2: (1 + (m+2) u)/(2^(m+3) u^3 (1+u)^(m+2))
+    power, scale = m + order, 2.0 ** (m + 2 * order - 1) if order else 2.0 ** (1 - m) / m
+
+    def chain(u, v):
+        np.add(1.0, u, out=v)
+        if power > 1:
+            v **= power
+        if order == 0:
+            return np.divide(scale, v, out=v)
+        v *= scale * u if order == 1 else scale * u**3
+        return np.divide(1.0 if order == 1 else np.multiply(m + 2, u) + 1.0, v, out=v)
+
+    return chain
 
 
 def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
@@ -246,58 +271,104 @@ def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
         uc /= den
 
 
-def _t_derivative_u(spec: KernelSpec, order: int = 1):
-    """d/dt (order 1) or d^2/dt^2 (order 2) of the closed form of
-    :func:`_eval_u`, as a function of u = r/2 >= 0; +inf at u = 0.
+def _arc(family: str, m: int):  # gine and ajne; a derivative refuses t = -1
+    def chain(u, v):
+        if m and (u >= 1.0).any():
+            raise SingularKernelError(f"{family}:d{m}", "derivative is singular at t = -1")
+        _eval_arc(family, m, np.minimum(u, 1.0, out=v))
+        return v
 
-    The closed form of order m + ``order``, except for pycke m = 0 (the
-    higher forms drop its 1/(4pi)) and cui-freeden (whose orders are not
-    t-derivatives).
-    """
-    family, m = spec.family, spec.m
-    if family not in ("pycke", "cui-freeden", "riesz"):
-        raise CapabilityError(f"no descent derivative for family {family!r}")
+    return chain
+
+
+def _shifted(chain, s: float, u, v):  # the shifted riesz form
+    chain(u, v)
+    v -= _riesz_shift(s)
+    return v
+
+
+#: family -> (m, s) -> the chains of the value, d/dt and d^2/dt^2 at order m
+_FORMS = {
+    "pycke": lambda m, s: (
+        (_pole(m), _pole(m + 1), _pole(m + 2))
+        if m
+        else (_pycke_log, _pole(1, 2.0 * _FOUR_PI), _pole(2, 4.0 * _FOUR_PI))
+    ),
+    "riesz": lambda m, s: (
+        (_riesz_power(m, s), _riesz_power(m + 1, s), _riesz_power(m + 2, s))
+        if s != 0.0
+        else (_pole(m) if m else _riesz_log, _pole(m + 1), _pole(m + 2))
+    ),
+    "cui-freeden": lambda m, s: (_cf(m, 0) if m else _cf_log, _cf(m, 1), _cf(m, 2)),
+    "gine": lambda m, s: (_arc("gine", m), None, None),
+    "ajne": lambda m, s: (_arc("ajne", m), None, None),
+}
+
+
+class _Plan(NamedTuple):
+    value: Callable
+    d1: Callable | None  # d/dt, None where there is no descent derivative
+    d2: Callable | None  # d^2/dt^2
+    singular: bool  # is_singular_at_coincidence
+    inf_at_zero: bool  # value is +inf at u == 0
+
+
+@lru_cache(maxsize=256)
+def _plan(spec: KernelSpec) -> _Plan:
+    """``spec`` resolved into its chains, once per spec."""
+    family, m, s = spec.family, spec.m, spec.s
     if m > M_CLOSED_MAX:
-        raise CapabilityError(f"no descent derivative at order m={m}")
-    if family == "riesz" or family == "pycke" and m >= 1:
-        return partial(_eval_u, KernelSpec(family, m + order, spec.s))
+        raise CapabilityError(f"closed-form evaluation supports m <= {M_CLOSED_MAX} (got m={m})")
+    value, d1, d2 = _FORMS[family](m, s)
+    if spec.shifted and m == 0:
+        value = partial(_shifted, value, s)
+    inf_at_zero = family == "pycke" or family == "riesz" and s >= 0.0
+    return _Plan(value, d1, d2, is_singular_at_coincidence(spec), inf_at_zero)
 
-    @np.errstate(divide="ignore", over="ignore")  # +inf at u = 0
-    def t_derivative(u: np.ndarray) -> np.ndarray:
-        if family == "pycke":
-            if order == 1:
-                return 1.0 / (_FOUR_PI * 2.0 * u * u)
-            return 1.0 / (_FOUR_PI * 4.0 * u**4)
-        if order == 1:
-            return 1.0 / (2.0 ** (m + 1) * u * (1.0 + u) ** (m + 1))
-        return (1.0 + (m + 2) * u) / (2.0 ** (m + 3) * u**3 * (1.0 + u) ** (m + 2))
 
-    return t_derivative
+def _descent_plan(spec: KernelSpec) -> _Plan:
+    """:func:`_plan`, refusing a spec with no descent derivative."""
+    if spec.family not in ("pycke", "cui-freeden", "riesz"):
+        raise CapabilityError(f"no descent derivative for family {spec.family!r}")
+    if spec.m > M_CLOSED_MAX:
+        raise CapabilityError(f"no descent derivative at order m={spec.m}")
+    return _plan(spec)
+
+
+_IGNORE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+
+def _quiet():
+    """The error state that chains run in, for ``with``: a no-op where the
+    caller is in it already, so a loop inside another does not enter it."""
+    return nullcontext() if _IGNORE.items() <= np.geterr().items() else np.errstate(**_IGNORE)
+
+
+def _run(chain, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``chain`` in its own error state, into ``out`` or a new array."""
+    with _quiet():
+        return chain(u, np.empty_like(u) if out is None else out)
+
+
+def _t_derivative_u(spec: KernelSpec, order: int = 1):
+    """d/dt (order 1) or d^2/dt^2 (order 2) of the closed form, as a function
+    of u = r/2 >= 0 that returns a new array; +inf at u = 0."""
+    return partial(_run, _descent_plan(spec)[order])
 
 
 def _half_chords(t: np.ndarray) -> np.ndarray:
     """Map clipped dots t in place to u = sqrt((1 - t)/2)."""
     np.subtract(1.0, t, out=t)
-    t /= 2.0
+    t *= 0.5
     return np.sqrt(t, out=t)
 
 
-def _kernel_eval_u(
-    spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Closed form on a half-chord array u = r/2 >= 0, with no u == 0 check.
-
-    :func:`kernel_eval` after its range and coincidence checks, for callers
-    that form ``u`` and decide coincidence on their dots.  Raises
-    :class:`CapabilityError` above order M_CLOSED_MAX and
-    :class:`SingularKernelError` for a gine or ajne derivative at t = -1.  The
-    result goes into ``out`` as in :func:`_eval_u`; ``out=u`` is in place.
-    """
-    if spec.m > M_CLOSED_MAX:
-        raise CapabilityError(f"closed-form evaluation supports m <= {M_CLOSED_MAX} (got m={spec.m})")
-    if spec.family in ("gine", "ajne") and spec.m >= 1 and np.any(u >= 1.0):
-        raise SingularKernelError(spec.name, "derivative is singular at t = -1")
-    return _eval_u(spec, u, out)
+def _kernel_eval_u(spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`kernel_eval` on half-chords u = r/2 >= 0 after its checks: the
+    value chain, run as :func:`_run` runs it.  Raises :class:`CapabilityError`
+    above order M_CLOSED_MAX and :class:`SingularKernelError` for a gine or
+    ajne derivative at t = -1."""
+    return _run(_plan(spec).value, u, out)
 
 
 def _on_half_chords(spec: KernelSpec, x, evaluate):

@@ -24,10 +24,11 @@ Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
 polish and the grid update hold their nodes or the grid component-major,
 take their dots from the contraction of the pair sums (one trial or node
-against them all) and evaluate the kernel on half-chords they form
-themselves, exactly as :func:`~sphereq.kernels.kernel_eval` forms them;
-they skip its checks, decide coincidence on the dots, and give its values
-bit for bit.
+against them all), form the half-chords in place as
+:func:`~sphereq.kernels.kernel_eval` forms them and run the kernel plan's
+chains on them, the chains kernel_eval runs, in one error state per
+sequence; they skip its checks, decide coincidence on the dots, and give
+its values bit for bit.
 """
 
 from __future__ import annotations
@@ -41,16 +42,12 @@ from .errors import ConditioningError, ConfigurationError, DomainError, require,
 from .discrepancy import (
     _COINCIDENCE_T,
     PointSet,
+    _clip,
     _dot_block,
+    _einsum,
     mean_pair_discrepancy,
 )
-from .kernels import (
-    KernelSpec,
-    _half_chords,
-    _kernel_eval_u,
-    _t_derivative_u,
-    is_singular_at_coincidence,
-)
+from .kernels import KernelSpec, _Plan, _descent_plan, _half_chords, _plan, _quiet
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -121,22 +118,25 @@ def greedy_initial(seed: int):
 
 
 def _half_chord_kernel(
-    spec: KernelSpec,
+    plan: _Plan,
     t: np.ndarray,
     coincident_t: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """K(t) on clipped dots t, with +inf where t >= coincident_t for a K
-    singular at coincidence.
+    """K(t) on clipped dots t, by the value chain of ``plan``, with +inf
+    where t >= coincident_t for a K singular at coincidence.
 
     ``t`` is overwritten with the half-chord u = sqrt((1 - t)/2), formed as
     :func:`kernel_eval` forms it, so the values are its values bit for bit;
     the caller may reuse u.  The result goes into ``out`` (a new array when
     None), which must not be ``t``.  Coincidence is decided here, on t: the
-    kernel is evaluated everywhere and the hits are set to +inf after.
+    kernel is evaluated everywhere and the hits are set to +inf after, but
+    for coincident_t = 1 (u == 0 after the clip) a chain that is +inf at
+    u == 0 already needs no mask.
     """
-    hit = t >= coincident_t if is_singular_at_coincidence(spec) else None
-    vals = _kernel_eval_u(spec, _half_chords(t), out)
+    masked = plan.singular and (coincident_t < 1.0 or not plan.inf_at_zero)
+    hit = t >= coincident_t if masked else None
+    vals = plan.value(_half_chords(t), np.empty_like(t) if out is None else out)
     if hit is not None:
         vals[hit] = np.inf
     return vals
@@ -145,7 +145,7 @@ def _half_chord_kernel(
 def _clipped_dots(col: np.ndarray, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Dots of the (3, 1) column ``col`` with the component-major (3, M)
     ``columns``, clipped to [-1, 1], into the (1, M) buffer ``out``."""
-    return np.clip(_dot_block(col, columns, out), -1.0, 1.0, out=out)
+    return _clip(_dot_block(col, columns, out), -1.0, 1.0, out=out)
 
 
 def _moment_times(m: list[float], v: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -191,22 +191,22 @@ def _polish(
     vanishes or is not finite.  No sum over the nodes goes through BLAS, so
     the result does not depend on its thread count.
     """
+    plan = _descent_plan(spec)
     n = pts.shape[0]
     p = np.ascontiguousarray(pts.T)
     q = p[[0, 0, 0, 1, 1, 2]] * p[[0, 1, 2, 1, 2, 2]]  # xx, xy, xz, yy, yz, zz
-    col, u, vals = np.empty((3, 1)), np.empty((1, n)), np.empty((1, n))
+    col, u, vals, dk = np.empty((3, 1)), np.empty((1, n)), np.empty((1, n)), np.empty(n)
     row = u[0]  # the half-chords of the last point scored
-    t_derivative, t_second = _t_derivative_u(spec), _t_derivative_u(spec, 2)
 
     def score(point: tuple[float, float, float]) -> float:
         col[:, 0] = point
-        return float(np.sum(_half_chord_kernel(spec, _clipped_dots(col, p, u), 1.0, vals)))
+        return float(_half_chord_kernel(plan, _clipped_dots(col, p, u), 1.0, vals).sum())
 
     x, y, z = eta.tolist()
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with _quiet():
         f = score((x, y, z))
         for _ in range(max_iter):
-            gx, gy, gz = np.einsum("ki,i->k", p, t_derivative(row)).tolist()
+            gx, gy, gz = _einsum("ki,i->k", p, plan.d1(row, dk)).tolist()
             radial = gx * x + gy * y + gz * z
             g_t = gx - radial * x, gy - radial * y, gz - radial * z
             g_norm = math.sqrt(_vdot(g_t, g_t))
@@ -214,7 +214,7 @@ def _polish(
                 break
             e_a = a, b, c = g_t[0] / g_norm, g_t[1] / g_norm, g_t[2] / g_norm
             e_b = y * c - z * b, z * a - x * c, x * b - y * a  # eta x e_a
-            moments = np.einsum("ki,i->k", q, t_second(row)).tolist()
+            moments = _einsum("ki,i->k", q, plan.d2(row, dk)).tolist()
             m_a = _moment_times(moments, e_a)
             d_a, d_b = _newton_step(
                 g_norm,
@@ -256,7 +256,6 @@ def _newton_step(
     return d_a, d_b
 
 
-@np.errstate(invalid="ignore")  # an overflowed K makes inf - inf, a NaN score
 def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndarray:
     """Next node: grid argmin of the summed kernel, then local polish.
 
@@ -266,15 +265,17 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
     :class:`ConditioningError` when a summed kernel is NaN or -inf.
     """
     columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
-    scores = _grid_scores(pts.points, spec, columns)
-    return _select_and_polish(pts.points, spec, grid, scores)
+    with _quiet():  # an overflowed K makes inf - inf, a NaN score
+        scores = _grid_scores(pts.points, spec, columns)
+        return _select_and_polish(pts.points, spec, grid, scores)
 
 
 def _grid_kernel(spec: KernelSpec, columns: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K(grid . x) for every candidate of the component-major (3, M) grid;
     +inf where a singular K meets x."""
     t = _clipped_dots(x.reshape(3, 1), columns, np.empty((1, columns.shape[1])))
-    return _half_chord_kernel(spec, t[0], _COINCIDENCE_T)
+    with _quiet():
+        return _half_chord_kernel(_plan(spec), t[0], _COINCIDENCE_T)
 
 
 def _grid_scores(
@@ -289,17 +290,17 @@ def _grid_scores(
 def _select_and_polish(
     pts: np.ndarray, spec: KernelSpec, grid: CandidateGrid, scores: np.ndarray
 ) -> np.ndarray:
-    lowest = float(np.min(scores))  # NaN if any score is NaN
+    i = int(scores.argmin())  # the first NaN, if a score is NaN
+    lowest = float(scores[i])
     if math.isnan(lowest) or lowest == -math.inf:
         raise ConditioningError(f"{spec.name} overflows on the candidate grid (a score is {lowest})")
     if lowest == math.inf:
         raise ConfigurationError("every grid candidate coincides with an existing node")
-    eta = grid.points.points[int(np.argmin(scores))].copy()
+    eta = grid.points.points[i].copy()
     step0 = 4.0 / math.sqrt(grid.size)  # about one grid spacing
     return _polish(eta, pts, spec, step0)
 
 
-@np.errstate(invalid="ignore")  # as in greedy_next
 def greedy_generate(
     n: int, spec: KernelSpec, seed: int, grid_size: int = 8192
 ) -> PointSet:
@@ -316,11 +317,12 @@ def greedy_generate(
     out = np.empty((n, 3))
     out[0] = first
     columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
-    scores = _grid_scores(out[:1], spec, columns)
-    for k in range(1, n):
-        eta = _select_and_polish(out[:k], spec, grid, scores)
-        out[k] = eta
-        scores += _grid_kernel(spec, columns, eta)
+    with _quiet():  # once for the whole sequence, as in greedy_next
+        scores = _grid_scores(out[:1], spec, columns)
+        for k in range(1, n):
+            eta = _select_and_polish(out[:k], spec, grid, scores)
+            out[k] = eta
+            scores += _grid_kernel(spec, columns, eta)
     return PointSet(out, seed=seed, provenance=f"greedy:{spec.name}")
 
 

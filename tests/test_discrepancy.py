@@ -383,7 +383,7 @@ def test_spectral_power_sums_at_the_degree_cap():
     assert np.max(np.abs(spectral - gram)) <= 4e-12 * n
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_points=st.integers(2, 40),
@@ -583,7 +583,7 @@ def test_dot_rows_are_exactly_symmetric():
         assert np.array_equal(discrepancy._dot_rows(p[i0:], p[i0:i1]), full[i0:i1, i0:].T)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_points=st.integers(2, 150),

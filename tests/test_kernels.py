@@ -3,13 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from test_boundary import SPECS as BOUNDARY_SPECS
 
+from sphereq import pointgen
 from sphereq.errors import CapabilityError, ConditioningError, DomainError, SingularKernelError
 from sphereq.kernels import (
     CHORDAL,
+    DOT_PRODUCT,
     KernelSpec,
     SymbolSequence,
+    _half_chords,
     _kernel_eval_u,
+    _plan,
     _t_derivative_u,
     is_singular_at_coincidence,
     kernel_derivative,
@@ -550,3 +555,119 @@ def test_descent_derivative_equals_the_formula_table_bit_for_bit(spec, dense_u):
     assert got.tobytes() == expect[: t.size].tobytes()
     if spec.m >= 1 and (spec.family != "riesz" or spec.s == 0.0):
         assert _kernel_eval_u(spec, u).tobytes() == _table_eval(spec, u).tobytes()
+
+
+# --- kernel plans: the chains every hot loop runs ------------------------------
+
+
+def _plan_dots():
+    """t = +-1, 1 - 2^-52 and -1 + 2^-52, the clipped dots of close pairs
+    (e_z against points 1e-9 to 0.1 from it), and random t."""
+    eps = np.logspace(-9, -1, 60)
+    near = np.column_stack([eps, np.zeros_like(eps), np.ones_like(eps)])
+    near /= np.linalg.norm(near, axis=1)[:, None]
+    close = np.clip(near[:, 2], -1.0, 1.0)  # the dots with e_z
+    edges = [-1.0, 1.0, 1.0 - 2.0**-52, -1.0 + 2.0**-52]
+    return np.concatenate([edges, close, np.random.default_rng(11).uniform(-1.0, 1.0, 300)])
+
+
+def _arguments(spec, t):
+    """``spec``'s arguments at the dots t, with their half-chords formed as
+    kernel_eval forms them."""
+    if spec.convention == CHORDAL:
+        r = np.sqrt(2.0 * (1.0 - t))
+        return r, r / 2.0
+    return t, _half_chords(t.copy())
+
+
+def _chain(chain, u):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return chain(u, np.empty_like(u))
+
+
+PLAN_SPECS = [
+    spec.with_convention(convention)
+    for spec in BOUNDARY_SPECS
+    if spec.m <= 2
+    for convention in (DOT_PRODUCT, CHORDAL)
+]
+
+
+def _plan_id(spec):
+    return spec.name + (":shifted" if spec.shifted else "") + ":" + spec.convention
+
+
+@pytest.mark.parametrize("spec", PLAN_SPECS, ids=_plan_id)
+def test_value_chain_equals_kernel_eval_bit_for_bit(spec):
+    x, u = _arguments(spec, _plan_dots())
+    plan = _plan(spec)
+    try:
+        got = _chain(plan.value, u)
+    except ConditioningError:  # the shifted riesz mean overflows at s = -2000
+        with pytest.raises(ConditioningError, match="riesz mean"):
+            kernel_eval(spec, x)
+        return
+    for i, xi in enumerate(x.tolist()):
+        try:
+            want = kernel_eval(spec, xi)
+        except SingularKernelError:
+            assert plan.singular and u[i] == 0.0
+            assert got[i] == math.inf or not plan.inf_at_zero
+        except ConditioningError:  # K overflows here
+            assert not math.isfinite(got[i])
+        else:
+            assert np.float64(want).tobytes() == got[i].tobytes(), xi
+
+
+def _table_t_second(spec, u):
+    """d^2/dt^2 of the closed form, one line per form, in the order each
+    formula evaluated before the chains."""
+    family, m, s = spec.family, spec.m, spec.s
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if family == "cui-freeden":
+            return (1.0 + (m + 2) * u) / (2.0 ** (m + 3) * u**3 * (1.0 + u) ** (m + 2))
+        if family == "riesz" and s != 0.0:
+            poch = 1.0
+            for j in range(m + 2):
+                poch *= s / 2.0 + j
+            return math.copysign(1.0, s) * 2.0 ** (m + 2) * poch * (2.0 * u) ** (-(s + 2 * (m + 2)))
+        if family == "pycke" and m == 0:
+            return 1.0 / (FOUR_PI * 4.0 * u**4)
+        k = m + 2  # pycke m >= 1 and riesz s = 0: (k-1)!/(2 u^2)^k
+        return math.factorial(k - 1) / (2.0**k * u ** (2 * k))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in PLAN_SPECS if spec.family in ("pycke", "cui-freeden", "riesz")]
+    + [spec.with_convention(c) for spec in DESCENT_SPECS for c in (DOT_PRODUCT, CHORDAL)],
+    ids=_plan_id,
+)
+def test_descent_chains_equal_kernel_t_derivative_and_the_second_derivative(spec):
+    x, u = _arguments(spec, _plan_dots())
+    plan = _plan(spec)
+    assert _chain(plan.d1, u).tobytes() == kernel_t_derivative(spec, x).tobytes()
+    assert _chain(plan.d2, u).tobytes() == _table_t_second(spec, u).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    DESCENT_SPECS
+    + [KernelSpec("riesz", m=m, s=s) for s in (-2.0, -3.0, -4.0) for m in (0, 1, 2)]
+    + [KernelSpec("riesz", s=s, shifted=True) for s in (0.0, 1.0, -0.5, 1.9)],
+    ids=lambda s: s.name + (":shifted" if s.shifted else ""),
+)
+def test_the_polish_drops_its_coincidence_mask_only_where_the_chain_is_inf_at_zero(spec):
+    # The polish scores a trial with its coincidence cut at t = 1, where u == 0
+    # exactly; for a chain that is +inf at u == 0 it sets no mask.
+    plan = _plan(spec)
+    at_zero = _chain(plan.value, np.zeros(1))[0]
+    if plan.inf_at_zero:
+        assert plan.singular and at_zero == math.inf
+    t = np.concatenate([[1.0, 1.0 - 2.0**-52], _plan_dots()])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = pointgen._half_chord_kernel(plan, t.copy(), 1.0)
+        want = _chain(plan.value, _half_chords(t.copy()))
+    if plan.singular:
+        want[t >= 1.0] = math.inf
+    assert got.tobytes() == want.tobytes()

@@ -377,7 +377,7 @@ def test_polish_ends_when_a_refused_step_halves_below_the_floor(name, monkeypatc
     assert len(rows) > 2  # with a lower floor the halving goes on
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(["pycke", "pycke:d1", "pycke:d2", "cui-freeden", "riesz:s=1"]),
     n=st.integers(1, 60),
@@ -458,7 +458,7 @@ def test_greedy_generate_matches_oracle_polish(name, monkeypatch):
     assert np.array_equal(fast, oracle)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(["pycke", "pycke:d1", "pycke:d2", "cui-freeden"]),
     n=st.integers(1, 30),
@@ -742,7 +742,7 @@ def _knn_cases(draw):
     return p, draw(st.integers(1, min(20, n - 1)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_knn_cases())
 def test_knn_equals_a_full_matrix_stable_argsort(case):
     p, k = case
@@ -821,3 +821,26 @@ def test_greedy_refuses_an_overflowed_grid_score(score):
     scores[0], scores[5] = math.inf, score
     with pytest.raises(ConditioningError, match=f"pycke overflows on the candidate grid \\(a score is {score}\\)"):
         pointgen._select_and_polish(pts.points, PYCKE, grid, scores)
+
+
+@pytest.mark.parametrize(
+    "planted, error, message",
+    [
+        ({9: math.nan}, ConditioningError, r"\(a score is nan\)"),
+        ({3: -math.inf, 9: math.nan}, ConditioningError, r"\(a score is nan\)"),  # NaN wins
+        ({3: math.nan, 9: -math.inf}, ConditioningError, r"\(a score is nan\)"),
+        ({3: -math.inf, 9: -math.inf}, ConditioningError, r"\(a score is -inf\)"),
+        (dict.fromkeys(range(16), math.inf), ConfigurationError, "every grid candidate coincides"),
+    ],
+    ids=["nan", "-inf then nan", "nan then -inf", "-inf", "all +inf"],
+)
+def test_one_argmin_over_the_grid_scores_keeps_every_refusal(planted, error, message):
+    # one scan: argmin returns the first NaN where there is one, so a NaN
+    # anywhere refuses as NaN, a -inf as -inf, and all +inf as no candidate
+    grid = candidate_grid(16)
+    scores = np.arange(16.0)
+    scores[0] = math.inf
+    for i, score in planted.items():
+        scores[i] = score
+    with pytest.raises(error, match=message):
+        pointgen._select_and_polish(grid.points.points[:1], PYCKE, grid, scores)
