@@ -14,11 +14,13 @@ so reports are bit-identical from run to run.
 
 The closed-form double sums visit only the upper triangle of the pair matrix.
 A block of PAIR_ROWS rows i0:i1 builds the dots for the columns j >= i0 with
-one ``einsum`` contraction (:func:`_dot_block`, which the greedy polish, the
-grid update and the k-NN scan share) in a prefix of one buffer that the
-call allocates, scans them for coincident pairs when the kernel is singular
-there, maps them in place to the half-chord u = sqrt((1 - t)/2) and
-evaluates the kernel over u in place; its partial is the sum of the
+:func:`_dots`, the one clipped-dot helper (one ``einsum`` contraction over
+points transposed once per call to (3, N), which the measure forms,
+:func:`pair_dot_matrix`, the greedy polish and the grid update share; the
+k-NN scan takes its unclipped :func:`_dot_block`), in a prefix of one buffer
+that the call allocates, scans them for coincident pairs when the kernel is
+singular there, maps them in place to the half-chord u = sqrt((1 - t)/2)
+and evaluates the kernel over u in place; its partial is the sum of the
 diagonal tile plus twice the sum of the tile to its right.  That is exact
 in structure: the three-term dot gives t_ij == t_ji bit for bit.  The
 blocks run in order on the calling thread, so the first block that finds a
@@ -152,10 +154,10 @@ def _dot_block(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     One ``einsum`` contraction, an elementwise three-term dot rather than
     BLAS, so results do not depend on the library's thread count.  On
-    C-contiguous operands it forms (a0*b0 + a1*b1) + a2*b2 with a separate
-    multiply and add per term, the bits of the explicit product; strided
-    operands can take another loop, so callers pass contiguous copies.  A
-    1 x 1 output also takes another loop, so it is formed explicitly.
+    C-contiguous operands and their column slices it forms (a0*b0 + a1*b1)
+    + a2*b2 with a separate multiply and add per term, the bits of the
+    explicit product; Fortran-ordered operands take another loop.  A 1 x 1
+    output also takes another loop, so it is formed explicitly.
     """
     if out.shape == (1, 1):
         out[0, 0] = (a[0, 0] * b[0, 0] + a[1, 0] * b[1, 0]) + a[2, 0] * b[2, 0]
@@ -163,20 +165,13 @@ def _dot_block(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _einsum("ki,kj->ij", a, b, out=out)
 
 
-def _dot_rows(
-    block: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Clipped dots t[r, c] = block[r] . pts[c], built in one buffer.
-
-    The dots of :func:`_dot_block` on contiguous transposed copies.  The
-    products commute and are added in the same order, so the rows i, j of
-    one set give t_ij == t_ji bit for bit.  The dots go into ``out``, a
-    (len(block), len(pts)) buffer made here when None.
-    """
-    a, b = np.ascontiguousarray(block.T), np.ascontiguousarray(pts.T)
+def _dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The dots of :func:`_dot_block` clipped to [-1, 1], into ``out``, an
+    (m, n) buffer made here when None.  The products commute and are added
+    in the same order, so the columns i, j of one set give t_ij == t_ji bit
+    for bit."""
     t = np.empty((a.shape[1], b.shape[1])) if out is None else out
-    _dot_block(a, b, t)
-    return _clip(t, -1.0, 1.0, out=t)
+    return _clip(_dot_block(a, b, t), -1.0, 1.0, out=t)
 
 
 def pair_dot_matrix(pts: PointSet) -> np.ndarray:
@@ -184,8 +179,8 @@ def pair_dot_matrix(pts: PointSet) -> np.ndarray:
 
     The diagonal is pinned to exactly 1 (unit vectors by contract).
     """
-    p = pts.points
-    t = _dot_rows(p, p)
+    p = np.ascontiguousarray(pts.points.T)
+    t = _dots(p, p)
     np.fill_diagonal(t, 1.0)
     return t
 
@@ -210,8 +205,8 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
         raise SingularKernelError(
             spec.name, "singular at coincidence; the diagonal must be excluded"
         )
-    p = pts.points
-    n = len(p)
+    p = np.ascontiguousarray(pts.points.T)  # (3, N), transposed once
+    n = p.shape[1]
     exclude = diagonal_policy == EXCLUDE
     buf = np.empty(n * min(n, PAIR_ROWS))
     value = _plan(spec).value
@@ -221,7 +216,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
         d = np.arange(b)
         # rows j >= i0, columns i0 <= i < i1: the diagonal tile, then the
         # tile to its right in the full matrix
-        u = _dot_rows(p[i0:], p[i0:i1], buf[: (n - i0) * b].reshape(n - i0, b))
+        u = _dots(p[:, i0:], p[:, i0:i1], buf[: (n - i0) * b].reshape(n - i0, b))
         # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
         # the half-chord sqrt amplifying last-bit norm rounding
         u[d, d] = 0.0 if exclude else 1.0
@@ -449,14 +444,14 @@ def measure_inner_product(
             f"{spec.name} is singular at coincidence; use a bounded kernel "
             "such as cui-freeden for measure discrepancies"
         )
-    pa, pb = mu.points.points, omega.points.points
+    pa, pb = (np.ascontiguousarray(x.points.points.T) for x in (mu, omega))  # (3, N) each
     wa, wb = mu.weights, omega.weights
-    n = pa.shape[0]
+    n = pa.shape[1]
     value = _plan(spec).value
 
     def row_block(i0: int, i1: int) -> float:
         # the clipped dots are in range, so only the singularity checks remain
-        u = _half_chords(_dot_rows(pa[i0:i1], pb))
+        u = _half_chords(_dots(pa[:, i0:i1], pb))
         return block_sum(value(u, u) * (wa[i0:i1][:, None] * wb[None, :]))
 
     # an overflowed K under weights of both signs makes a NaN, caught below

@@ -35,11 +35,10 @@ from .errors import CapabilityError, ConditioningError, ConfigurationError, Doma
 from .errors import require, whole
 from .discrepancy import PointSet
 from .kernels import (
-    CHORDAL,
     KernelSpec,
+    _checked_eval_u,
     _kernel_eval_u,
     is_singular_at_coincidence,
-    kernel_eval,
 )
 from .sphio import csv_text
 
@@ -150,9 +149,10 @@ def _saddle(r, p, spec, epsilon, sigma):
     takes its zero diagonal limit, which needs sigma > 0 to stay invertible.
 
     The kernel block is evaluated in place on the half-chords r (eps/2),
-    which equal (eps r)/2 bit for bit, so G is the chordal ``kernel_eval``
-    of eps r; a singular diagonal is set to its limit after, and
-    :func:`_distances` refuses zero r off it.  G is Fortran-ordered so that
+    which equal (eps r)/2 bit for bit, also where eps r exceeds the
+    diameter 2 that the chordal ``kernel_eval`` accepts; a singular
+    diagonal is set to its limit after, and :func:`_distances` refuses zero
+    r off it.  G is Fortran-ordered so that
     LAPACK can factor it in place; the block is read from r.T, which is r
     bit for bit (numpy forms pts @ pts.T as one symmetric product), so both
     sides of the multiply run in memory order."""
@@ -191,15 +191,18 @@ def fit_interpolant(
                             poly_degree=poly_degree, w=coeff[:n], b=coeff[n:])
 
 
-@np.errstate(over="ignore")  # an eps r beyond the float range fails kernel_eval
+@np.errstate(over="ignore")  # a sum beyond the float range is inf
 def interpolant_eval(model: InterpolantModel, p):
-    """Evaluate the fitted interpolant at one or many unit vectors."""
+    """Evaluate the fitted interpolant at one or many unit vectors.
+
+    K is evaluated on the half-chords r (eps/2), as :func:`_saddle` does,
+    with the refusals of :func:`kernel_eval`: at a center, a kernel singular
+    at coincidence raises :class:`SingularKernelError`."""
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
     q = PointSet(np.atleast_2d(p))
-    r = _chordal(q.points, model.centers.points)
-    k = kernel_eval(model.spec.with_convention(CHORDAL), model.epsilon * r)
-    out = k @ model.w
+    u = np.multiply(_chordal(q.points, model.centers.points), model.epsilon / 2.0)
+    out = _checked_eval_u(model.spec, u) @ model.w
     if model.b.size:
         out = out + monomial_basis(q, model.poly_degree) @ model.b
     return float(out[0]) if single else out

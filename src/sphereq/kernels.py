@@ -99,7 +99,8 @@ class KernelSpec:
         """Canonical string form, e.g. ``pycke:d2`` or ``riesz:s=1``."""
         parts = [self.family]
         if self.family == "riesz":
-            parts.append(f"s={self.s:g}")
+            s = f"{self.s:g}"  # the short form, where it parses back to s
+            parts.append(f"s={s if float(s) == self.s else repr(float(self.s))}")
         if self.m:
             parts.append(f"d{self.m}")
         return ":".join(parts)
@@ -350,12 +351,6 @@ def _run(chain, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return chain(u, np.empty_like(u) if out is None else out)
 
 
-def _t_derivative_u(spec: KernelSpec, order: int = 1):
-    """d/dt (order 1) or d^2/dt^2 (order 2) of the closed form, as a function
-    of u = r/2 >= 0 that returns a new array; +inf at u = 0."""
-    return partial(_run, _descent_plan(spec)[order])
-
-
 def _half_chords(t: np.ndarray) -> np.ndarray:
     """Map clipped dots t in place to u = sqrt((1 - t)/2)."""
     np.subtract(1.0, t, out=t)
@@ -374,37 +369,40 @@ def _kernel_eval_u(spec: KernelSpec, u: np.ndarray, out: np.ndarray | None = Non
 def _on_half_chords(spec: KernelSpec, x, evaluate):
     """``evaluate`` on the half-chords of ``x``, shaped as ``x``.
 
-    ``x`` is the dot product t in [-1, 1] or the chordal distance r >= 0,
-    per ``spec.convention``; a scalar gives a float.  The range tests are
-    written so that NaN fails them, and a chordal r must be finite.
+    ``x`` is the dot product t in [-1, 1] or the chordal distance r in
+    [0, 2], per ``spec.convention``; a scalar gives a float.  The range tests
+    are written so that NaN fails them.
     """
     arr = np.asarray(x, dtype=float)
     if spec.convention == DOT_PRODUCT:
         require((arr >= -1.0) & (arr <= 1.0), "dot-product argument must lie in [-1, 1]")
         u = _half_chords(np.array(arr, ndmin=1))
     else:
-        require((arr >= 0.0) & (arr < math.inf), "chordal distance must be finite and non-negative")
+        rule = "chordal distance must be finite and non-negative, at most the diameter 2"
+        require((arr >= 0.0) & (arr <= 2.0), rule)
         u = np.atleast_1d(arr) / 2.0
     out = evaluate(u)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _checked_eval_u(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+    """:func:`_kernel_eval_u` into a new array, refusing a singular kernel at
+    coincidence (u == 0) with :class:`SingularKernelError` and a value that
+    overflows with :class:`ConditioningError`."""
+    if is_singular_at_coincidence(spec) and np.any(u == 0.0):
+        raise SingularKernelError(spec.name, "kernel is singular at coincidence")
+    vals = _kernel_eval_u(spec, u)
+    if not np.isfinite(vals).all():
+        bad = float(vals[~np.isfinite(vals)][0])
+        raise ConditioningError(f"{spec.name} overflows to {bad!r}")
+    return vals
+
+
 def kernel_eval(spec: KernelSpec, x):
-    """The closed form at t or r, per ``spec.convention``.  Raises
-    :class:`SingularKernelError` for a singular kernel at coincidence, and
-    :class:`ConditioningError` where a value overflows, as a riesz kernel
-    with a large |s| does."""
-
-    def checked(u: np.ndarray) -> np.ndarray:
-        if is_singular_at_coincidence(spec) and np.any(u == 0.0):
-            raise SingularKernelError(spec.name, "kernel is singular at coincidence")
-        vals = _kernel_eval_u(spec, u)
-        if not np.isfinite(vals).all():
-            bad = float(vals[~np.isfinite(vals)][0])
-            raise ConditioningError(f"{spec.name} overflows to {bad!r}")
-        return vals
-
-    return _on_half_chords(spec, x, checked)
+    """The closed form at t or r, per ``spec.convention``, with the refusals
+    of :func:`_checked_eval_u`: a singular kernel at coincidence, and a value
+    that overflows, as a riesz kernel with a large |s| does."""
+    return _on_half_chords(spec, x, partial(_checked_eval_u, spec))
 
 
 def kernel_t_derivative(spec: KernelSpec, x):
@@ -413,7 +411,7 @@ def kernel_t_derivative(spec: KernelSpec, x):
     Used by local descent during greedy node placement.  Supported for the
     pycke, cui-freeden and riesz families at m <= 2.
     """
-    return _on_half_chords(spec, x, _t_derivative_u(spec))
+    return _on_half_chords(spec, x, partial(_run, _descent_plan(spec).d1))
 
 
 def kernel_uniform_mean(spec: KernelSpec) -> float:

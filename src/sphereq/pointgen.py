@@ -4,14 +4,15 @@ Three generators:
 
 * seeded uniform random sampling (normalized Gaussian triples),
 * greedy sequential minimization of the summed kernel against the points
-  placed so far (argmin over a spherical Fibonacci grid, then polished by
-  tangent-plane descent: each iteration's step is the damped Newton step
-  on the 2 x 2 tangent Hessian, read off the 3 x 3 moment matrix
-  sum_i K''(t_i) x_i x_i^T, or a gradient step where that Hessian is not
-  positive definite, halved in place until its trial lowers the summed
-  kernel; the gradient and the moment matrix are one contraction each over
-  the accepted trial's u row, so each trial forms its dots with the nodes
-  once, and the polish ends when the step gets shorter than 1e-8),
+  placed so far, one loop for both entry points (argmin over a spherical
+  Fibonacci grid, then polished by tangent-plane descent: each iteration's
+  step is the damped Newton step on the 2 x 2 tangent Hessian, read off
+  the 3 x 3 moment matrix sum_i K''(t_i) x_i x_i^T, or a gradient step
+  where that Hessian is not positive definite, halved in place until its
+  trial lowers the summed kernel; the gradient and the moment matrix are
+  one contraction each over the accepted trial's u row, so each trial
+  forms its dots with the nodes once, and the polish ends when the step
+  gets shorter than 1e-8),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.  The iterate is kept
   component-major, so a step is a few whole-row passes.  The k-NN scan
@@ -23,8 +24,8 @@ Three generators:
 Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
 polish and the grid update hold their nodes or the grid component-major,
-take their dots from the contraction of the pair sums (one trial or node
-against them all), form the half-chords in place as
+take their dots from the clipped-dot helper of the pair sums (one trial or
+node against them all), form the half-chords in place as
 :func:`~sphereq.kernels.kernel_eval` forms them and run the kernel plan's
 chains on them, the chains kernel_eval runs, in one error state per
 sequence; they skip its checks, decide coincidence on the dots, and give
@@ -42,8 +43,8 @@ from .errors import ConditioningError, ConfigurationError, DomainError, require,
 from .discrepancy import (
     _COINCIDENCE_T,
     PointSet,
-    _clip,
     _dot_block,
+    _dots,
     _einsum,
     mean_pair_discrepancy,
 )
@@ -142,12 +143,6 @@ def _half_chord_kernel(
     return vals
 
 
-def _clipped_dots(col: np.ndarray, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Dots of the (3, 1) column ``col`` with the component-major (3, M)
-    ``columns``, clipped to [-1, 1], into the (1, M) buffer ``out``."""
-    return _clip(_dot_block(col, columns, out), -1.0, 1.0, out=out)
-
-
 def _moment_times(m: list[float], v: tuple[float, float, float]) -> tuple[float, float, float]:
     """M v for the symmetric 3 x 3 matrix M held as m = (xx, xy, xz, yy, yz, zz)."""
     return (
@@ -200,7 +195,7 @@ def _polish(
 
     def score(point: tuple[float, float, float]) -> float:
         col[:, 0] = point
-        return float(_half_chord_kernel(plan, _clipped_dots(col, p, u), 1.0, vals).sum())
+        return float(_half_chord_kernel(plan, _dots(col, p, u), 1.0, vals).sum())
 
     x, y, z = eta.tolist()
     with _quiet():
@@ -264,27 +259,15 @@ def greedy_next(pts: PointSet, spec: KernelSpec, grid: CandidateGrid) -> np.ndar
     :class:`ConfigurationError` when no candidate remains, and
     :class:`ConditioningError` when a summed kernel is NaN or -inf.
     """
-    columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
-    with _quiet():  # an overflowed K makes inf - inf, a NaN score
-        scores = _grid_scores(pts.points, spec, columns)
-        return _select_and_polish(pts.points, spec, grid, scores)
+    return _greedy(pts.points, len(pts) + 1, spec, grid)[-1]
 
 
 def _grid_kernel(spec: KernelSpec, columns: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K(grid . x) for every candidate of the component-major (3, M) grid;
     +inf where a singular K meets x."""
-    t = _clipped_dots(x.reshape(3, 1), columns, np.empty((1, columns.shape[1])))
+    t = _dots(x.reshape(3, 1), columns)[0]
     with _quiet():
-        return _half_chord_kernel(_plan(spec), t[0], _COINCIDENCE_T)
-
-
-def _grid_scores(
-    pts: np.ndarray, spec: KernelSpec, columns: np.ndarray
-) -> np.ndarray:
-    scores = np.zeros(columns.shape[1])
-    for x in pts:
-        scores += _grid_kernel(spec, columns, x)
-    return scores
+        return _half_chord_kernel(_plan(spec), t, _COINCIDENCE_T)
 
 
 def _select_and_polish(
@@ -301,6 +284,22 @@ def _select_and_polish(
     return _polish(eta, pts, spec, step0)
 
 
+def _greedy(given: np.ndarray, n: int, spec: KernelSpec, grid: CandidateGrid) -> np.ndarray:
+    """The one greedy loop: ``given``, then greedy nodes up to n in all; the
+    grid sums grow by one grid row per node, the last node's excepted."""
+    out, k = np.empty((n, 3)), len(given)
+    out[:k] = given
+    columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
+    scores = np.zeros(grid.size)
+    with _quiet():  # once per sequence; an overflowed K makes inf - inf, a NaN score
+        for i in range(n):
+            if i >= k:
+                out[i] = _select_and_polish(out[:i], spec, grid, scores)
+            if i < n - 1:
+                scores += _grid_kernel(spec, columns, out[i])
+    return out
+
+
 def greedy_generate(
     n: int, spec: KernelSpec, seed: int, grid_size: int = 8192
 ) -> PointSet:
@@ -313,16 +312,7 @@ def greedy_generate(
     """
     n = whole(n, _POINT_COUNT, low=1, array_of="point count")
     grid = candidate_grid(grid_size)
-    first = greedy_initial(seed)
-    out = np.empty((n, 3))
-    out[0] = first
-    columns = np.ascontiguousarray(grid.points.points.T)  # (3, M), transposed once
-    with _quiet():  # once for the whole sequence, as in greedy_next
-        scores = _grid_scores(out[:1], spec, columns)
-        for k in range(1, n):
-            eta = _select_and_polish(out[:k], spec, grid, scores)
-            out[k] = eta
-            scores += _grid_kernel(spec, columns, eta)
+    out = _greedy(greedy_initial(seed)[None], n, spec, grid)
     return PointSet(out, seed=seed, provenance=f"greedy:{spec.name}")
 
 

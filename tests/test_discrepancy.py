@@ -576,11 +576,11 @@ def test_pair_kernel_sum_is_byte_identical_across_thread_counts():
 def test_dot_rows_are_exactly_symmetric():
     # the upper-triangle pair sum counts each off-diagonal tile twice, which
     # is exact only if t_ij == t_ji bit for bit
-    p = random_points(200, 8).points
-    full = discrepancy._dot_rows(p, p)
+    p = np.ascontiguousarray(random_points(200, 8).points.T)
+    full = discrepancy._dots(p, p)
     assert np.array_equal(full, full.T)
     for i0, i1 in ((0, 64), (64, 128), (192, 200)):
-        assert np.array_equal(discrepancy._dot_rows(p[i0:], p[i0:i1]), full[i0:i1, i0:].T)
+        assert np.array_equal(discrepancy._dots(p[:, i0:], p[:, i0:i1]), full[i0:i1, i0:].T)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -656,18 +656,18 @@ def test_dot_rows_equal_explicit_three_term_products(m, n):
     # right; a build whose einsum fused the multiply and add would fail here
     a, b = _unit_rows(m, m), _unit_rows(n, n + 1)
     expect = _explicit_dots(a, b).view(np.uint64)
-    assert np.array_equal(discrepancy._dot_rows(a, b).view(np.uint64), expect)
-    # strided and Fortran-ordered inputs
-    wide_a, wide_b = np.repeat(a, 2, axis=0), np.hstack([b, b])
-    got = discrepancy._dot_rows(wide_a[::2], np.asfortranarray(wide_b[:, :3]))
+    ac, bc = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)  # component-major
+    assert np.array_equal(discrepancy._dots(ac, bc).view(np.uint64), expect)
+    # strided columns, and the transpose of a Fortran-ordered (n, 3) array
+    got = discrepancy._dots(np.repeat(ac, 2, axis=1)[:, ::2], np.asfortranarray(b).T)
     assert np.array_equal(got.view(np.uint64), expect)
     # out as a slice of a larger buffer, strided or flat
     big = np.full((m + 3, n + 5), np.nan)
-    discrepancy._dot_rows(a, b, out=big[1 : m + 1, 2 : n + 2])
+    discrepancy._dots(ac, bc, out=big[1 : m + 1, 2 : n + 2])
     assert np.array_equal(big[1 : m + 1, 2 : n + 2].view(np.uint64), expect)
     assert np.isnan(big[0]).all() and np.isnan(big[:, :2]).all()
     flat = np.full(m * n + 11, np.nan)
-    discrepancy._dot_rows(a, b, out=flat[: m * n].reshape(m, n))
+    discrepancy._dots(ac, bc, out=flat[: m * n].reshape(m, n))
     assert np.array_equal(flat[: m * n].reshape(m, n).view(np.uint64), expect)
     assert np.isnan(flat[m * n :]).all()
 
@@ -678,9 +678,25 @@ def test_single_dot_equals_the_explicit_product():
     # first polish step of a greedy run
     a, b = _unit_rows(200, 7), _unit_rows(200, 8)
     for x, y in zip(a, b):
-        got = discrepancy._dot_rows(x[None, :], y[None, :])
+        got = discrepancy._dots(x[:, None], y[:, None])
         expect = _explicit_dots(x[None, :], y[None, :])
         assert got.view(np.uint64)[0, 0] == expect.view(np.uint64)[0, 0]
+
+
+@pytest.mark.parametrize("n", [200, 998])
+def test_dots_of_column_slices_equal_explicit_three_term_products(n):
+    # the pair sums and measure forms transpose their points once and pass
+    # column slices of the (3, N) array, which are not contiguous
+    rows = _unit_rows(n, n)
+    p = np.ascontiguousarray(rows.T)
+    for i0 in range(0, n, discrepancy.PAIR_ROWS):
+        i1 = min(i0 + discrepancy.PAIR_ROWS, n)
+        for a, b, expect in (
+            (p[:, i0:], p[:, i0:i1], _explicit_dots(rows[i0:], rows[i0:i1])),
+            (p[:, i0:i1], p, _explicit_dots(rows[i0:i1], rows)),
+        ):
+            assert not a.flags.c_contiguous or i0 == 0
+            assert np.array_equal(discrepancy._dots(a, b).view(np.uint64), expect.view(np.uint64))
 
 
 @pytest.mark.parametrize("spec", [CF, KernelSpec("cui-freeden", m=1), KernelSpec("gine")])

@@ -12,10 +12,11 @@ from sphereq.kernels import (
     DOT_PRODUCT,
     KernelSpec,
     SymbolSequence,
+    _descent_plan,
     _half_chords,
     _kernel_eval_u,
     _plan,
-    _t_derivative_u,
+    _run,
     is_singular_at_coincidence,
     kernel_derivative,
     kernel_eval,
@@ -97,6 +98,19 @@ def test_domain_validation():
         KernelSpec("riesz")  # missing exponent
     with pytest.raises(DomainError):
         KernelSpec("pycke", s=1.0)
+
+
+def test_chordal_front_end_refuses_a_distance_beyond_the_diameter():
+    # r = 3 used to give pycke -0.144 and a "singular at t = -1" for gine:d1
+    for spec in (PYCKE.with_convention(CHORDAL), KernelSpec("gine", m=1, convention=CHORDAL)):
+        with pytest.raises(DomainError, match="at most the diameter 2"):
+            kernel_eval(spec, 3.0)
+        with pytest.raises(DomainError, match="at most the diameter 2"):
+            kernel_eval(spec, np.array([0.5, 2.0 + 2.0**-51]))
+    chordal_cf = CF.with_convention(CHORDAL)
+    with pytest.raises(DomainError, match="at most the diameter 2"):
+        kernel_t_derivative(chordal_cf, 3.0)
+    assert kernel_eval(chordal_cf, 2.0) == kernel_eval(CF, -1.0)
 
 
 def test_front_end_refuses_nan_and_a_non_finite_chord():
@@ -237,6 +251,13 @@ def test_kernel_name_round_trip():
         assert parse_kernel(name).name == name
     with pytest.raises(DomainError):
         parse_kernel("mystery")
+    # six significant digits would name these riesz:s=2 and riesz:s=0.123457
+    for s, name in ((1.9999999, "riesz:s=1.9999999"), (0.1234567, "riesz:s=0.1234567")):
+        spec = KernelSpec("riesz", s=s)
+        assert spec.name == name and parse_kernel(spec.name) == spec
+    for spec in BOUNDARY_SPECS:
+        if not spec.shifted:
+            assert parse_kernel(spec.name) == spec.with_convention(DOT_PRODUCT)
 
 
 def test_uniform_means():
@@ -408,14 +429,14 @@ def test_next_order_is_the_t_derivative(spec):
 )
 def test_second_t_derivative_is_the_derivative_of_the_descent_derivative(spec):
     h = 1e-6
-    second = _t_derivative_u(spec, 2)
+    d2 = _descent_plan(spec).d2
     for t in (-0.8, -0.5, -0.2, 0.3, 0.4, 0.7, 0.8):
         fd = (kernel_t_derivative(spec, t + h) - kernel_t_derivative(spec, t - h)) / (2 * h)
-        got = second(np.array([math.sqrt((1.0 - t) / 2.0)]))[0]
+        got = _run(d2, np.array([math.sqrt((1.0 - t) / 2.0)]))[0]
         assert got == pytest.approx(fd, rel=1e-6), t
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert second(np.array([0.0]))[0] == math.inf
+        assert _run(d2, np.array([0.0]))[0] == math.inf
 
 
 def test_is_singular_catalog():
@@ -550,7 +571,7 @@ def dense_u():
 def test_descent_derivative_equals_the_formula_table_bit_for_bit(spec, dense_u):
     t, u = dense_u
     expect = _table_t_derivative(spec, u)
-    assert _t_derivative_u(spec)(u).tobytes() == expect.tobytes()
+    assert _run(_descent_plan(spec).d1, u).tobytes() == expect.tobytes()
     got = kernel_t_derivative(spec, t)
     assert got.tobytes() == expect[: t.size].tobytes()
     if spec.m >= 1 and (spec.family != "riesz" or spec.s == 0.0):

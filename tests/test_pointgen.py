@@ -72,7 +72,7 @@ def _newton_step_oracle(pts, spec, eta, t, grad, e_a, e_b, g_norm, step0):
     when the tangent Hessian is not finite and positive definite."""
     x, y, z = (np.ascontiguousarray(c) for c in pts.T)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k2 = kernels._t_derivative_u(spec, 2)(np.sqrt((1.0 - t) / 2.0))
+        k2 = kernels._run(kernels._descent_plan(spec).d2, np.sqrt((1.0 - t) / 2.0))
         second = np.stack([x * x, x * y, x * z, y * y, y * z, z * z])
         xx, xy, xz, yy, yz, zz = np.einsum("ki,i->k", second, k2).tolist()
     m = [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
