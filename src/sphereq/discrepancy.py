@@ -40,8 +40,9 @@ from one of two routes, chosen from the input with no option:
   counts.  The degree cap keeps the unscaled recurrence far from the
   degrees where it loses accuracy;
 * the Gram route otherwise: the Bonnet recurrence over the N^2 matrix of
-  pairwise dots, in O(N^2 n_max) time.  It is faster for few points and is
-  the only route above the degree cap.
+  pairwise dots, in O(N^2 n_max) time, run over one summation.BLOCK of the
+  flat dots at a time, so beside the dots it holds O(BLOCK) memory.  It is
+  faster for few points and is the only route above the degree cap.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .kernels import (
     is_singular_at_coincidence,
 )
 from .legendre import derivative_recurrence
-from .summation import block_sum, neumaier_sum
+from .summation import BLOCK, block_sum, neumaier_sum
 
 INCLUDE = "include"
 EXCLUDE = "exclude"
@@ -286,9 +287,13 @@ def energy(pts: PointSet, spec: KernelSpec) -> float:
 
 
 def _power_sums_gram(pts: PointSet, n_max: int) -> np.ndarray:
-    # S_n over the N^2 Gram matrix, by the m = 0 Bonnet recurrence
+    # S_n over the N^2 Gram matrix by the m = 0 recurrence, run on one BLOCK of
+    # the flat dots at a time; a degree's block sums merge as block_sum merges
+    # them, a lone block's sum unmerged, so the bytes (-0.0 too) are block_sum's
     t = pair_dot_matrix(pts).ravel()
-    return np.array([block_sum(stack[0]) for stack in derivative_recurrence(n_max, 0, t)])
+    blocks = (t[i : i + BLOCK] for i in range(0, t.size, BLOCK))
+    partials = zip(*[[np.sum(p) for p in derivative_recurrence(n_max, 0, b)] for b in blocks])
+    return np.array([neumaier_sum(d) if len(d) > 1 else d[0] for d in partials])
 
 
 def _power_sums_spectral(pts: PointSet, n_max: int) -> np.ndarray:

@@ -99,14 +99,18 @@ class KernelSpec:
         """Canonical string form, e.g. ``pycke:d2`` or ``riesz:s=1``."""
         parts = [self.family]
         if self.family == "riesz":
-            s = f"{self.s:g}"  # the short form, where it parses back to s
-            parts.append(f"s={s if float(s) == self.s else repr(float(self.s))}")
+            parts.append(f"s={_exponent_text(self.s)}")
         if self.m:
             parts.append(f"d{self.m}")
         return ":".join(parts)
 
     def with_convention(self, convention: str) -> "KernelSpec":
         return KernelSpec(self.family, self.m, self.s, convention, self.shifted)
+
+
+def _exponent_text(s: float) -> str:  # the :g form where it parses back to s, else repr
+    short = f"{s:g}"
+    return short if float(short) == s else repr(float(s))
 
 
 def parse_kernel(name: str) -> KernelSpec:
@@ -232,52 +236,47 @@ def _cf(m: int, order: int):
     return chain
 
 
-def _eval_arc(family: str, m: int, uc: np.ndarray) -> None:
-    """gine and ajne on uc = min(u, 1), overwritten with the kernel value."""
-    if family == "ajne" and m == 0:
-        np.arcsin(uc, out=uc)  # 1/4 - arcsin(uc) / pi
-        uc /= math.pi
-        np.subtract(0.25, uc, out=uc)
-        return
-    root = uc * uc  # sqrt(max(1 - uc^2, 0))
-    np.subtract(1.0, root, out=root)
-    np.maximum(root, 0.0, out=root)
-    np.sqrt(root, out=root)
-    if family == "gine" and m == 0:
-        uc *= 4.0 / math.pi  # 1/2 - (4/pi) uc root
-        uc *= root
-        np.subtract(0.5, uc, out=uc)
-    elif family == "gine" and m == 2:
-        uc **= 3  # (2/pi) / (8 uc^3 root^3)
-        uc *= 8.0
-        root **= 3
-        uc *= root
-        np.divide(2.0 / math.pi, uc, out=uc)
-    elif family == "ajne" and m == 1:
-        uc *= _FOUR_PI  # 1 / (4pi uc root)
-        uc *= root
-        np.divide(1.0, uc, out=uc)
-    else:
-        # gine m = 1: (2/pi) (1 - 2 uc^2) / (2 uc root);
-        # ajne m = 2: (1 - 2 uc^2) / (2pi (2 uc root)^3)
-        den = 2.0 * uc
-        np.multiply(den, uc, out=uc)
-        np.subtract(1.0, uc, out=uc)
-        den *= root
-        if family == "gine":
-            uc *= 2.0 / math.pi
-        else:
-            den **= 3
-            den *= 2.0 * math.pi
-        uc /= den
-
-
-def _arc(family: str, m: int):  # gine and ajne; a derivative refuses t = -1
+def _arc(family: str, m: int):  # gine and ajne on uc = min(u, 1); a derivative refuses t = -1
     def chain(u, v):
         if m and (u >= 1.0).any():
             raise SingularKernelError(f"{family}:d{m}", "derivative is singular at t = -1")
-        _eval_arc(family, m, np.minimum(u, 1.0, out=v))
-        return v
+        uc = np.minimum(u, 1.0, out=v)
+        if family == "ajne" and m == 0:
+            np.arcsin(uc, out=uc)  # 1/4 - arcsin(uc) / pi
+            uc /= math.pi
+            return np.subtract(0.25, uc, out=uc)
+        root = uc * uc  # sqrt(max(1 - uc^2, 0))
+        np.subtract(1.0, root, out=root)
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        if family == "gine" and m == 0:
+            uc *= 4.0 / math.pi  # 1/2 - (4/pi) uc root
+            uc *= root
+            np.subtract(0.5, uc, out=uc)
+        elif family == "gine" and m == 2:
+            uc **= 3  # (2/pi) / (8 uc^3 root^3)
+            uc *= 8.0
+            root **= 3
+            uc *= root
+            np.divide(2.0 / math.pi, uc, out=uc)
+        elif family == "ajne" and m == 1:
+            uc *= _FOUR_PI  # 1 / (4pi uc root)
+            uc *= root
+            np.divide(1.0, uc, out=uc)
+        else:
+            # gine m = 1: (2/pi) (1 - 2 uc^2) / (2 uc root);
+            # ajne m = 2: (1 - 2 uc^2) / (2pi (2 uc root)^3)
+            den = 2.0 * uc
+            np.multiply(den, uc, out=uc)
+            np.subtract(1.0, uc, out=uc)
+            den *= root
+            if family == "gine":
+                uc *= 2.0 / math.pi
+            else:
+                den **= 3
+                den *= 2.0 * math.pi
+            uc /= den
+        return uc
 
     return chain
 
@@ -329,11 +328,10 @@ def _plan(spec: KernelSpec) -> _Plan:
 
 def _descent_plan(spec: KernelSpec) -> _Plan:
     """:func:`_plan`, refusing a spec with no descent derivative."""
-    if spec.family not in ("pycke", "cui-freeden", "riesz"):
-        raise CapabilityError(f"no descent derivative for family {spec.family!r}")
-    if spec.m > M_CLOSED_MAX:
-        raise CapabilityError(f"no descent derivative at order m={spec.m}")
-    return _plan(spec)
+    plan = _plan(spec) if spec.m <= M_CLOSED_MAX else None
+    if plan is None or plan.d1 is None:
+        raise CapabilityError(f"no descent derivative for {spec.name}")
+    return plan
 
 
 _IGNORE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
@@ -567,7 +565,8 @@ def kernel_series_eval(
     Cross-validates the closed forms: for the pycke symbol the m = 0 series
     reproduces the closed form exactly (constant included); other families
     agree up to an affine recalibration of the overall constant convention.
-    ``tail_estimate`` is the magnitude of the last contributing term.
+    ``tail_estimate`` is the magnitude of the last contributing term.  Raises
+    :class:`ConditioningError` where (2m-1)!! overflows (151 <= m <= n_max).
     """
     m = whole(m, "derivative order must be a non-negative integer", array_of="derivative order")
     n_max = _truncation(n_max)
@@ -576,9 +575,9 @@ def kernel_series_eval(
     weights = SymbolSequence(family, s).series_weights(n_max)
     total = np.zeros_like(arr)
     tail = np.zeros_like(arr)
-    for n, stack in enumerate(derivative_recurrence(n_max, m, arr)):
+    for n, p in enumerate(derivative_recurrence(n_max, m, arr)):
         if n >= 1 and weights[n] != 0.0:
-            term = weights[n] * stack[m]
+            term = weights[n] * p
             total += term
             tail = np.abs(term)
     if np.isscalar(t) or np.asarray(t).ndim == 0:

@@ -1,13 +1,14 @@
 """Legendre polynomials: values, derivatives of any order, norms, and the
 spherical-harmonic dimension count.
 
-Runtime evaluation uses one recurrence, :func:`derivative_recurrence`: the
-stable three-term (Bonnet) recurrence for the values, with the m-th
-derivative carried alongside by differentiating it m times (Leibniz in the
-``x`` factor), which costs O(n*m) and stays forward-stable on [-1, 1].  An
-exact rational construction from Rodrigues' formula is kept as a
-small-degree oracle; expanding it symbolically costs O(2^n), so it is never
-used for runtime evaluation.
+Runtime evaluation uses one recurrence, :func:`derivative_recurrence`: for
+each derivative order m, the three-term recurrence of P_n^(m) =
+(2m-1)!! C_{n-m}^(m+1/2), the Gegenbauer polynomials' own (Szego,
+*Orthogonal Polynomials*, 4.7), which costs O(n) for any m and stays
+forward-stable on [-1, 1]; at m = 0 it is Bonnet's.  An exact rational
+construction from Rodrigues' formula is kept as a small-degree oracle;
+expanding it symbolically costs O(2^n), so it is never used for runtime
+evaluation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, require, whole
+from .errors import CapabilityError, ConditioningError, require, whole
 
 #: Largest degree for which the exact rational oracle is built.
 N_EXACT_MAX = 60
@@ -48,7 +49,7 @@ def legendre_derivative_eval(n: int, m: int, x):
     """Evaluate the m-th derivative d^m P_n / dx^m.
 
     For ``m == 0`` this is P_n itself; for ``m > n`` the result is exactly
-    zero.
+    zero.  Raises :class:`ConditioningError` where (2m-1)!! overflows.
     """
     n = whole(n, _DEGREE)
     m = whole(m, "derivative order must be a non-negative integer")
@@ -56,42 +57,36 @@ def legendre_derivative_eval(n: int, m: int, x):
     require((arr >= -1.0) & (arr <= 1.0), "legendre argument must lie in [-1, 1]")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if m > n:
-        return 0.0 if scalar else np.zeros_like(arr)
-    for table in derivative_recurrence(n, m, arr):
+    for values in derivative_recurrence(n, m, arr):
         pass
-    values = table[m]
     return float(values[0]) if scalar else values
 
 
 def derivative_recurrence(n_max: int, m: int, x: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield, for each degree k = 0..n_max, the stack [P_k, P_k', ..., P_k^(m)].
+    """Yield, for each degree k = 0..n_max, P_k^(m)(x) shaped like ``x``.
 
-    Differentiating Bonnet's recurrence j times gives
-    ``(k+1) P_{k+1}^(j) = (2k+1)(x P_k^(j) + j P_k^(j-1)) - k P_{k-1}^(j)``,
-    a forward recurrence on the value/derivative stack.  Consumers that need
-    the whole degree range (series evaluators) iterate this generator instead
-    of calling :func:`legendre_derivative_eval` per degree.
+    P_k^(m) is zero below degree m, (2m-1)!! at degree m and (2m+1)!! x at
+    m + 1; above that, P_k^(m) = (2m-1)!! C_{k-m}^(m+1/2)(x) follows the
+    Gegenbauer recurrence
+    ``(k-m+1) P_{k+1}^(m) = (2k+1) x P_k^(m) - (k+m) P_{k-1}^(m)``,
+    which at m = 0 is Bonnet's.  Consumers that need the whole degree range
+    (series evaluators) iterate this generator instead of calling
+    :func:`legendre_derivative_eval` per degree.  Raises
+    :class:`ConditioningError` where (2m-1)!! overflows.
     """
     x = np.asarray(x, dtype=float)
-    prev = np.zeros((m + 1,) + x.shape)
-    prev[0] = 1.0
-    yield prev
-    if n_max == 0:
+    prev = np.zeros_like(x)
+    for _ in range(min(m, n_max + 1)):
+        yield prev
+    if m > n_max:
         return
-    cur = np.zeros_like(prev)
-    cur[0] = x
-    if m >= 1:
-        cur[1] = 1.0
+    start = math.prod(range(1, 2 * m, 2), start=1.0)  # (2m-1)!!, inf where it overflows
+    if start == math.inf:
+        raise ConditioningError(f"P_n^({m}) overflows: (2m-1)!! is beyond the float range")
+    cur = np.full_like(x, start)
     yield cur
-    for k in range(1, n_max):
-        nxt = np.empty_like(cur)
-        for j in range(m + 1):
-            t = x * cur[j]
-            if j >= 1:
-                t = t + j * cur[j - 1]
-            nxt[j] = ((2 * k + 1) * t - k * prev[j]) / (k + 1)
-        prev, cur = cur, nxt
+    for k in range(m, n_max):
+        prev, cur = cur, ((2 * k + 1) * (x * cur) - (k + m) * prev) / (k - m + 1)
         yield cur
 
 

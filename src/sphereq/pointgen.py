@@ -48,7 +48,7 @@ from .discrepancy import (
     _einsum,
     mean_pair_discrepancy,
 )
-from .kernels import KernelSpec, _Plan, _descent_plan, _half_chords, _plan, _quiet
+from .kernels import KernelSpec, _Plan, _descent_plan, _exponent_text, _half_chords, _plan, _quiet
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -424,7 +424,5 @@ def riesz_refine(
         if history:
             pair = mean_pair_discrepancy(PointSet(x.T), KernelSpec("cui-freeden"), "include")
             scores.append(pair.value)
-    refined = PointSet(
-        x.T, seed=pts.seed, provenance=f"riesz_refine:s={params.riesz_s:g}"
-    )
+    refined = PointSet(x.T, seed=pts.seed, provenance=f"riesz_refine:s={_exponent_text(s)}")
     return refined, scores

@@ -266,11 +266,12 @@ def test_series_closed_form_coherence_random_sets():
 
 def _stack_sums(pts, n_max, m):
     """sum_ij P_n^(j)(x_i . x_j) for j = 0..m, n = 0..n_max, as a (m+1, n_max+1)
-    array: the derivative stack of the Bonnet recurrence over the Gram matrix."""
+    array: the recurrence of each order j over the whole Gram matrix, summed
+    with block_sum, independent of the parity sums of _differentiate_sums."""
     t = pair_dot_matrix(pts).ravel()
     return np.array(
-        [[block_sum(row) for row in stack] for stack in derivative_recurrence(n_max, m, t)]
-    ).T
+        [[block_sum(p) for p in derivative_recurrence(n_max, j, t)] for j in range(m + 1)]
+    )
 
 
 def _series_oracle(stack_sums, n_points, family, m, s=None):
@@ -300,6 +301,19 @@ def _series_oracle(stack_sums, n_points, family, m, s=None):
 SERIES_FAMILIES = (
     ("pycke", None), ("cui-freeden", None), ("gine", None), ("riesz", 0.5), ("riesz", -0.5)
 )
+
+
+@pytest.mark.parametrize("n_points", [127, 128, 300])
+def test_blocked_gram_sums_equal_one_shot_block_sums(n_points):
+    # 1, 2 and 6 blocks of summation.BLOCK dots; the one-shot reference keeps
+    # the whole N^2 recurrence in memory
+    pts = random_points(n_points, 70 + n_points)
+    t = pair_dot_matrix(pts).ravel()
+    for n_max in (1, 40, 301):
+        want = [block_sum(p) for p in derivative_recurrence(n_max, 0, t)]
+        got = discrepancy._power_sums_gram(pts, n_max)
+        assert got.tolist() == want
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 @pytest.mark.parametrize("n_points", [4, 15, 86, 151, 400])

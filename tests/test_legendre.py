@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sphereq.errors import CapabilityError, DomainError
+from sphereq.errors import CapabilityError, ConditioningError, DomainError
+from sphereq.kernels import kernel_series_eval
 from sphereq.legendre import (
     N_EXACT_MAX,
     PolynomialCoefficients,
+    derivative_recurrence,
     harmonic_dimension,
     legendre_derivative_eval,
     legendre_eval,
@@ -197,3 +199,34 @@ def test_recurrence_matches_rodrigues_oracle():
                 exact = float(dpoly.evaluate(xq))
                 got = legendre_derivative_eval(n, m, float(xq))
                 assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_every_order_to_ten_matches_rodrigues_up_to_the_exact_degree_cap():
+    # each order m runs its own three-term recurrence; n <= N_EXACT_MAX, m <= 10
+    for n in range(N_EXACT_MAX + 1):
+        poly = rodrigues_coefficients(n)
+        for m in range(11):
+            dpoly = poly.derivative_order(m)
+            for xq in RATIONAL_X:
+                exact = float(dpoly.evaluate(xq))
+                got = legendre_derivative_eval(n, m, float(xq))
+                assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_an_order_above_the_degrees_costs_nothing_and_is_zero():
+    x = np.array([[0.5, -0.2], [1.0, -1.0]])
+    values = list(derivative_recurrence(5, 10**6, x))
+    assert len(values) == 6
+    for p in values:
+        assert p.shape == x.shape and not p.any()
+    got = kernel_series_eval("pycke", 10**6, [0.5, -0.2], 5)
+    assert got.value.tolist() == [0.0, 0.0] and got.tail_estimate.tolist() == [0.0, 0.0]
+
+
+def test_an_overflowing_derivative_raises_conditioning_error():
+    # (2m - 1)!! is beyond the float range at m = 200
+    with pytest.raises(ConditioningError, match="overflows"):
+        legendre_derivative_eval(300, 200, 0.5)
+    with pytest.raises(ConditioningError, match="overflows"):
+        kernel_series_eval("pycke", 200, 0.5, 300)
+    assert legendre_derivative_eval(150, 150, 0.5) == pytest.approx(math.prod(range(1, 300, 2)))

@@ -668,6 +668,17 @@ def test_refine_history_descends_after_warmup():
     assert np.all(diffs <= 1e-6)
 
 
+def test_refine_provenance_names_s_as_a_kernel_name_does():
+    pts = random_unit_points(20, seed=1)
+    for s, text in ((1.9999999, "1.9999999"), (0.1234567, "0.1234567"), (2.5, "2.5")):
+        params = RefineParams(k_neighbors=3, iterations=2, riesz_s=s)
+        out, _ = riesz_refine(pts, params, history=False)
+        assert out.provenance == f"riesz_refine:s={text}"
+        assert KernelSpec("riesz", s=s).name == f"riesz:s={text}"
+    out, _ = riesz_refine(pts, RefineParams(k_neighbors=3, iterations=2), history=False)
+    assert out.provenance == "riesz_refine:s=1"
+
+
 def test_refine_unit_norms():
     pts = random_unit_points(50, seed=9)
     out, _ = riesz_refine(
