@@ -15,7 +15,9 @@ from that factor.  The shortcut never forms G^{-1}: diag(G^{-1}) is
 diag(W^T D^{-1} W) with W = U^{-1} from a blocked triangular inverse, mapped
 back through the interchanges.  A shape-parameter sweep computes the
 distances and the tail block once and rebuilds only the kernel block per
-epsilon.
+epsilon.  It holds two N x N arrays, the distances r and G, N^2 doubles each,
+plus N^2 bytes of masks: r is built in the buffer of its dot product, and
+the norm for the condition estimate is read from G where it lies.
 Outputs are byte-stable for a fixed OPENBLAS_NUM_THREADS, but not across BLAS
 thread counts: the distance product and LAPACK round differently with more
 threads.  Every fit, LOOCV route and sweep checks its centers, data, shape
@@ -85,8 +87,13 @@ def monomial_basis(points, degree: int) -> np.ndarray:
 
 
 def _chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = np.clip(a @ b.T, -1.0, 1.0)
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * t))
+    """sqrt(max(0, 2 - 2 clip(a b^T, -1, 1))), every op in the product's buffer."""
+    t = a @ b.T
+    np.clip(t, -1.0, 1.0, out=t)
+    np.multiply(2.0, t, out=t)
+    np.subtract(2.0, t, out=t)
+    np.maximum(0.0, t, out=t)
+    return np.sqrt(t, out=t)
 
 
 @dataclass
@@ -201,7 +208,8 @@ def interpolant_eval(model: InterpolantModel, p):
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
     q = PointSet(np.atleast_2d(p))
-    u = np.multiply(_chordal(q.points, model.centers.points), model.epsilon / 2.0)
+    u = _chordal(q.points, model.centers.points)
+    u *= model.epsilon / 2.0
     out = _checked_eval_u(model.spec, u) @ model.w
     if model.b.size:
         out = out + monomial_basis(q, model.poly_degree) @ model.b
@@ -280,11 +288,12 @@ def _factor_solve(g, y):
     The Fortran-ordered G from :func:`_saddle` is factored in place and
     destroyed, so LAPACK copies no N x N matrix.  A ``dsycon`` reciprocal
     condition estimate below machine epsilon, or a c that is not finite,
-    raises :class:`ConditioningError`.  G is symmetric, so its inf-norm adds
-    the same numbers in the same order as the 1-norm of a C-ordered copy."""
+    raises :class:`ConditioningError`.  ``dlange`` takes the inf-norm that
+    ``dsycon`` needs from G where it lies, adding |g_ij| in the order of
+    ``np.linalg.norm(g, inf)`` on the F-ordered G, without forming |G|."""
     from scipy.linalg import lapack  # scipy loads on the first solve, not with the package
 
-    anorm = np.linalg.norm(g, np.inf)
+    anorm = lapack.dlange("I", g)
     lwork = int(lapack.dsytrf_lwork(g.shape[0])[0])
     ldu, piv, info = lapack.dsytrf(g, lwork=lwork, overwrite_a=1)
     rcond = lapack.dsycon(ldu, piv, anorm)[0] if info == 0 else 0.0

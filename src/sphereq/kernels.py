@@ -566,7 +566,9 @@ def kernel_series_eval(
     reproduces the closed form exactly (constant included); other families
     agree up to an affine recalibration of the overall constant convention.
     ``tail_estimate`` is the magnitude of the last contributing term.  Raises
-    :class:`ConditioningError` where (2m-1)!! overflows (151 <= m <= n_max).
+    :class:`ConditioningError` where (2m-1)!! overflows (151 <= m <= n_max),
+    and where a later degree or the sum does, so that any value returned is
+    finite.
     """
     m = whole(m, "derivative order must be a non-negative integer", array_of="derivative order")
     n_max = _truncation(n_max)
@@ -575,11 +577,14 @@ def kernel_series_eval(
     weights = SymbolSequence(family, s).series_weights(n_max)
     total = np.zeros_like(arr)
     tail = np.zeros_like(arr)
-    for n, p in enumerate(derivative_recurrence(n_max, m, arr)):
-        if n >= 1 and weights[n] != 0.0:
-            term = weights[n] * p
-            total += term
-            tail = np.abs(term)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        for n, p in enumerate(derivative_recurrence(n_max, m, arr)):
+            if n >= 1 and weights[n] != 0.0:
+                term = weights[n] * p
+                total += term
+                tail = np.abs(term)
+    if not np.all(np.isfinite(total)):
+        raise ConditioningError(f"{family} series of order {m} overflows at n_max = {n_max}")
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return SeriesEval(float(total[0]), float(tail[0]))
     return SeriesEval(total, tail)

@@ -49,7 +49,9 @@ def legendre_derivative_eval(n: int, m: int, x):
     """Evaluate the m-th derivative d^m P_n / dx^m.
 
     For ``m == 0`` this is P_n itself; for ``m > n`` the result is exactly
-    zero.  Raises :class:`ConditioningError` where (2m-1)!! overflows.
+    zero.  Raises :class:`ConditioningError` where (2m-1)!! overflows, and
+    where a later degree of the recurrence does, so that any value returned
+    is finite.
     """
     n = whole(n, _DEGREE)
     m = whole(m, "derivative order must be a non-negative integer")
@@ -57,8 +59,11 @@ def legendre_derivative_eval(n: int, m: int, x):
     require((arr >= -1.0) & (arr <= 1.0), "legendre argument must lie in [-1, 1]")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    for values in derivative_recurrence(n, m, arr):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        for values in derivative_recurrence(n, m, arr):
+            pass
+    if not np.all(np.isfinite(values)):
+        raise ConditioningError(f"P_{n}^({m}) overflows: it is beyond the float range")
     return float(values[0]) if scalar else values
 
 

@@ -30,7 +30,14 @@ from sphereq.errors import (
     SingularKernelError,
 )
 from sphereq.interpolation import epsilon_sweep, fit_interpolant, franke_eval, loocv_errors_fast
-from sphereq.kernels import KernelSpec, kernel_eval, kernel_t_derivative, parse_kernel
+from sphereq.kernels import (
+    KernelSpec,
+    kernel_eval,
+    kernel_series_eval,
+    kernel_t_derivative,
+    parse_kernel,
+)
+from sphereq.legendre import legendre_derivative_eval
 from sphereq.pointgen import (
     RefineParams,
     _polish,
@@ -89,6 +96,11 @@ CALLS = [
     ("kernel_eval", lambda: kernel_eval(FAR, -1.0), ConditioningError),
     ("kernel_t_derivative", lambda: kernel_t_derivative(PYCKE, np.array([1.0, -1.0])), None),
     ("kernel_t_derivative", lambda: kernel_t_derivative(KernelSpec("gine"), 0.3), CapabilityError),
+    ("legendre_derivative_eval", lambda: legendre_derivative_eval(400, 100, 0.9), None),
+    ("legendre_derivative_eval", lambda: legendre_derivative_eval(350, 100, 1.0),
+     ConditioningError),
+    ("kernel_series_eval", lambda: kernel_series_eval("pycke", 100, [0.9, 0.2], 400), None),
+    ("kernel_series_eval", lambda: kernel_series_eval("pycke", 120, 0.3, 600), ConditioningError),
 ]
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -475,6 +476,80 @@ def test_distances_are_bitwise_symmetric(threads):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+def _chordal_oracle(a, b):
+    """The chordal distances as one expression, a new array per op."""
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(a @ b.T, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 1000])
+def test_in_place_distances_and_evaluation_equal_the_expression_bit_for_bit(n):
+    centers = random_unit_points(n, seed=n)
+    r = interpolation._distances(centers)
+    assert np.array_equal(r, _chordal_oracle(centers.points, centers.points))
+    rng = np.random.default_rng(n)
+    model = interpolation.InterpolantModel(
+        centers, np.zeros(n), KernelSpec("pycke"), 2.5, 0.0, 1, rng.standard_normal(n),
+        rng.standard_normal(4),
+    )
+    q = random_unit_points(23, seed=n + 1).points
+    u = _chordal_oracle(q, centers.points) * (model.epsilon / 2.0)
+    want = _kernel_eval_u(model.spec, u) @ model.w + monomial_basis(q, 1) @ model.b
+    assert np.array_equal(interpolant_eval(model, q), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(8, 40),
+    sigma=st.sampled_from([0.0, 0.1]),
+    degree=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**31),
+    planted=st.sampled_from([(), (math.nan,), (math.inf,), (-math.inf,), (math.inf, math.nan)]),
+)
+def test_lapack_inf_norm_equals_numpys_on_every_saddle(n, sigma, degree, seed, planted):
+    # _factor_solve feeds dlange's norm to dsycon; it must add the same numbers
+    # in the same order as numpy's inf-norm
+    g = interpolation._saddle(
+        *interpolation._geometry(random_unit_points(n, seed=seed), degree), CF, 1.5, sigma
+    )
+    for k, value in enumerate(planted):
+        g[(seed + k) % n, (seed // n + 3 * k) % g.shape[1]] = value
+    want = np.linalg.norm(g, np.inf)
+    assert np.array_equal(lapack.dlange("I", g), want, equal_nan=True)
+
+
+def _traced_peak(call) -> int:
+    """Bytes that ``call`` allocates at its peak, above what is live before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_a_sweep_holds_only_the_distances_and_g():
+    # r (N^2 doubles), G ((N + 4)^2), and N^2 bytes of masks; tracemalloc
+    # counts numpy's and LAPACK's buffers
+    n = 400
+    pts = random_unit_points(n, seed=8)
+    y = franke_eval(pts.points)
+    epsilon_sweep(pts, y, CF, (1.0,))  # loads scipy and LAPACK before the trace
+    peak = _traced_peak(lambda: epsilon_sweep(pts, y, CF, (1.0, 2.0, 4.0)))
+    assert peak <= 2.25 * (n + 4) ** 2 * 8
+
+
+def test_the_distances_are_built_in_one_n_by_n_buffer():
+    # r, and the N^2 bytes of the duplicate-center mask
+    n = 400
+    pts = random_unit_points(n, seed=8)
+    assert _traced_peak(lambda: interpolation._distances(pts)) <= 1.25 * n * n * 8
 
 
 @pytest.mark.xfail(

@@ -230,3 +230,19 @@ def test_an_overflowing_derivative_raises_conditioning_error():
     with pytest.raises(ConditioningError, match="overflows"):
         kernel_series_eval("pycke", 200, 0.5, 300)
     assert legendre_derivative_eval(150, 150, 0.5) == pytest.approx(math.prod(range(1, 300, 2)))
+
+
+@pytest.mark.parametrize("n, m, x", [(350, 100, 1.0), (600, 120, 0.3), (600, 120, [0.3, 0.2])])
+def test_a_derivative_that_overflows_after_a_finite_start_raises_conditioning_error(n, m, x):
+    # (2m - 1)!! is finite at m = 100 and 120; a later degree of the
+    # recurrence, and so the series, is not
+    with pytest.raises(ConditioningError, match="overflows"):
+        legendre_derivative_eval(n, m, x)
+    with pytest.raises(ConditioningError, match="overflows"):
+        kernel_series_eval("pycke", m, x, n)
+
+
+def test_a_derivative_near_the_float_range_is_still_returned():
+    assert legendre_derivative_eval(400, 100, 0.9).hex() == "0x1.87da64b064cefp+978"
+    series = kernel_series_eval("pycke", 100, 0.9, 400)
+    assert math.isfinite(series.value) and math.isfinite(series.tail_estimate)
