@@ -35,7 +35,14 @@ from one of two routes, chosen from the input with no option:
 * the spectral route, used when n_max < N and n_max <= SPECTRAL_NMAX_MAX.
   By the addition theorem S_n = sum_k |sum_i R_n^k(theta_i) e^{i k phi_i}|^2
   with Schmidt semi-normalized associated Legendre functions R_n^k, in
-  O(N n_max^2) time and O(N n_max) memory.  The point sums are plain
+  O(N n_max^2) time.  The orders k run in blocks of rows = max(8, BLOCK // N),
+  each through all its degrees on (rows, N) buffers, with the sectoral
+  R_k^k carried from block to block, so the route holds O(rows N + n_max^2)
+  memory: the buffers and an (n_max + 1)^2 table of the per-order terms.
+  Every term goes through the same ufuncs in the same order as in a
+  degree-by-degree layout over all orders at once, each point sum reduces
+  one contiguous row, and S_n sums its n + 1 terms as one vector, so the
+  sums keep their bytes for any block size.  The point sums are plain
   ``np.sum`` reductions, never BLAS, so results do not depend on thread
   counts.  The degree cap keeps the unscaled recurrence far from the
   degrees where it loses accuracy;
@@ -296,35 +303,63 @@ def _power_sums_gram(pts: PointSet, n_max: int) -> np.ndarray:
     return np.array([neumaier_sum(d) if len(d) > 1 else d[0] for d in partials])
 
 
+def _order_rows(n_points: int) -> int:
+    """Orders per block of the spectral route: (rows, N) buffers of about
+    one summation.BLOCK, and at least 8 rows."""
+    return max(8, BLOCK // n_points)
+
+
 def _power_sums_spectral(pts: PointSet, n_max: int) -> np.ndarray:
     # S_n = sum_k (sum_i R_n^k cos k phi_i)^2 + (sum_i R_n^k sin k phi_i)^2,
     # R_n^k Schmidt semi-normalized so that P_n(x . y) = sum_k R_n^k R_n^k
-    # cos k(phi_x - phi_y).  Row k of a (degree, point) buffer holds R_n^k;
-    # rows above the degree stay zero.  Point sums run along the contiguous
-    # axis with np.sum, never BLAS, so they do not depend on thread counts.
+    # cos k(phi_x - phi_y).  The orders run in blocks k0:k1; row k - k0 of a
+    # (rows, N) buffer holds R_n^k, and rows above the degree stay zero.  A
+    # block runs the degrees n = k0..n_max and writes |.|^2 of order k into
+    # table[n, k]; the sectoral R_k^k carries from block to block.  Point
+    # sums run along the contiguous axis with np.sum, never BLAS, so they do
+    # not depend on thread counts, and S_n sums table[n, :n + 1] as one
+    # vector, as the degree-by-degree form summed its n + 1 terms.
     p = pts.points
     z = p[:, 2]
     sin_theta = np.hypot(p[:, 0], p[:, 1])
-    k_phi = np.arange(n_max + 1)[:, None] * np.arctan2(p[:, 1], p[:, 0])[None, :]
-    cos_k, sin_k = np.cos(k_phi), np.sin(k_phi)
-    prev2 = np.zeros_like(k_phi)
-    prev1 = np.zeros_like(k_phi)
-    prev1[0] = 1.0
-    sums = np.empty(n_max + 1)
-    sums[0] = float(len(pts)) ** 2
+    phi = np.arctan2(p[:, 1], p[:, 0])
+    rows = min(_order_rows(len(pts)), n_max + 1)
+    cos_k, sin_k, prev2, prev1, work = np.empty((5, rows, z.size))
+    table = np.zeros((n_max + 1, n_max + 1))
+    coef = [None]  # degree n: the recurrence's (a, b) columns for the orders k < n
     for n in range(1, n_max + 1):
-        cur = prev2  # R_{n-2} is dead after this step; reuse its buffer
         k2 = np.arange(n, dtype=float) ** 2
         scale = 1.0 / np.sqrt(n * n - k2)
-        a = ((2 * n - 1) * scale)[:, None]
-        b = (np.sqrt((n - 1) ** 2 - k2) * scale)[:, None]
-        cur[:n] = a * z * prev1[:n] - b * prev2[:n]
-        c_n = 1.0 if n == 1 else math.sqrt((2 * n - 1) / (2 * n))
-        cur[n] = c_n * sin_theta * prev1[n - 1]
-        re = np.sum(cur[: n + 1] * cos_k[: n + 1], axis=1)
-        im = np.sum(cur[: n + 1] * sin_k[: n + 1], axis=1)
-        sums[n] = np.sum(re * re + im * im)
-        prev2, prev1 = prev1, cur
+        b = np.sqrt((n - 1) ** 2 - k2) * scale
+        coef.append((((2 * n - 1) * scale)[:, None], b[:, None]))
+    sectoral = np.ones_like(z)  # R_{k0-1}^{k0-1}, the seed of block k0
+    for k0 in range(0, n_max + 1, rows):
+        k1 = min(k0 + rows, n_max + 1)
+        np.multiply(np.arange(k0, k1)[:, None], phi, out=sin_k[: k1 - k0])
+        np.cos(sin_k[: k1 - k0], out=cos_k[: k1 - k0])
+        np.sin(sin_k[: k1 - k0], out=sin_k[: k1 - k0])
+        prev2.fill(0.0)
+        prev1.fill(0.0)
+        if k0 == 0:
+            prev1[0] = 1.0  # R_0^0
+        for n in range(max(k0, 1), n_max + 1):
+            cur = prev2  # R_{n-2} is dead after this step; reuse its buffer
+            lo = min(n, k1) - k0  # rows k0..n-1 recur from the degrees below
+            a, b = coef[n]
+            t = np.multiply(a[k0 : k0 + lo], z, out=work[:lo])
+            t *= prev1[:lo]
+            np.multiply(b[k0 : k0 + lo], prev2[:lo], out=cur[:lo])
+            np.subtract(t, cur[:lo], out=cur[:lo])
+            if n < k1:  # the sectoral row k = n
+                c_n = 1.0 if n == 1 else math.sqrt((2 * n - 1) / (2 * n))
+                cur[lo] = np.multiply(c_n * sin_theta, sectoral, out=sectoral)
+            act = min(n + 1, k1) - k0
+            re = np.sum(np.multiply(cur[:act], cos_k[:act], out=work[:act]), axis=1)
+            im = np.sum(np.multiply(cur[:act], sin_k[:act], out=work[:act]), axis=1)
+            table[n, k0 : k0 + act] = re * re + im * im
+            prev2, prev1 = prev1, cur
+    sums = np.array([np.sum(table[n, : n + 1]) for n in range(n_max + 1)])
+    sums[0] = float(len(pts)) ** 2
     return sums
 
 

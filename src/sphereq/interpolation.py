@@ -171,7 +171,11 @@ def _saddle(r, p, spec, epsilon, sigma):
     require(epsilon >= 0.0 or n == 1, "chordal distance must be non-negative")
     g, diag = np.empty((n + m, n + m), order="F"), np.arange(n)
     block = np.multiply(r.T, epsilon / 2.0, out=g[:n, :n])
-    _kernel_eval_u(spec, block, out=block)
+    # the chain runs over the first n whole columns as one contiguous run;
+    # their tail rows carry u = 0 through it and take P^T after
+    g[n:, :n] = 0.0
+    cols = g.T[:n].reshape(-1)
+    _kernel_eval_u(spec, cols, out=cols)
     if singular:
         block[diag, diag] = 0.0
     block[diag, diag] += sigma**2

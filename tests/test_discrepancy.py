@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -376,11 +377,9 @@ def test_series_route_selection(monkeypatch):
         assert calls == [route], (n_points, n_max)
 
 
-def test_spectral_power_sums_at_the_degree_cap():
+def _cap_points() -> PointSet:
     # points 0.02 to 0.3 rad from either pole, where sin(theta)^k underflows
-    # below the cap.  Each route alone is off by up to ~1.3e-12 N from an
-    # extended-precision evaluation at this degree (20 seeds measured), so
-    # they are compared to a few times that.
+    # below the degree cap
     rng = np.random.default_rng(17)
     n = 50
     theta = rng.uniform(0.02, 0.3, n)
@@ -389,12 +388,108 @@ def test_spectral_power_sums_at_the_degree_cap():
     raw = np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    pts = PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+    return PointSet(raw / np.linalg.norm(raw, axis=1)[:, None])
+
+
+def test_spectral_power_sums_at_the_degree_cap():
+    # Each route alone is off by up to ~1.3e-12 N from an extended-precision
+    # evaluation at this degree (20 seeds measured), so they are compared to
+    # a few times that.
+    pts = _cap_points()
+    n = len(pts)
     n_max = discrepancy.SPECTRAL_NMAX_MAX
     spectral = discrepancy._power_sums_spectral(pts, n_max)
     gram = discrepancy._power_sums_gram(pts, n_max)
     assert np.all(np.isfinite(spectral))
     assert np.max(np.abs(spectral - gram)) <= 4e-12 * n
+
+
+def _spectral_sums_by_degree(pts, n_max):
+    # the spectral route degree by degree, every order of a degree at once in
+    # (n_max + 1, N) buffers: the arithmetic that the blocked route must keep
+    p = pts.points
+    z = p[:, 2]
+    sin_theta = np.hypot(p[:, 0], p[:, 1])
+    k_phi = np.arange(n_max + 1)[:, None] * np.arctan2(p[:, 1], p[:, 0])[None, :]
+    cos_k, sin_k = np.cos(k_phi), np.sin(k_phi)
+    prev2 = np.zeros_like(k_phi)
+    prev1 = np.zeros_like(k_phi)
+    prev1[0] = 1.0
+    sums = np.empty(n_max + 1)
+    sums[0] = float(len(pts)) ** 2
+    for n in range(1, n_max + 1):
+        cur = prev2
+        k2 = np.arange(n, dtype=float) ** 2
+        scale = 1.0 / np.sqrt(n * n - k2)
+        a = ((2 * n - 1) * scale)[:, None]
+        b = (np.sqrt((n - 1) ** 2 - k2) * scale)[:, None]
+        cur[:n] = a * z * prev1[:n] - b * prev2[:n]
+        c_n = 1.0 if n == 1 else math.sqrt((2 * n - 1) / (2 * n))
+        cur[n] = c_n * sin_theta * prev1[n - 1]
+        re = np.sum(cur[: n + 1] * cos_k[: n + 1], axis=1)
+        im = np.sum(cur[: n + 1] * sin_k[: n + 1], axis=1)
+        sums[n] = np.sum(re * re + im * im)
+        prev2, prev1 = prev1, cur
+    return sums
+
+
+def _assert_same_bytes(got, want):
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 17, 91, 206, 998, 1500])
+def test_blocked_spectral_sums_equal_the_degree_by_degree_sums(n_points):
+    pts = random_points(n_points, 80 + n_points)
+    for n_max in (1, 2, 30, 90, 301):
+        if n_max < n_points:
+            want = _spectral_sums_by_degree(pts, n_max)
+            _assert_same_bytes(discrepancy._power_sums_spectral(pts, n_max), want)
+
+
+def test_blocked_spectral_sums_at_the_degree_cap_keep_their_bytes():
+    pts = _cap_points()
+    n_max = discrepancy.SPECTRAL_NMAX_MAX
+    want = _spectral_sums_by_degree(pts, n_max)
+    _assert_same_bytes(discrepancy._power_sums_spectral(pts, n_max), want)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 400])
+def test_spectral_sums_keep_their_bytes_for_any_block_of_orders(rows, monkeypatch):
+    # 400 rows exceed n_max + 1 in every case: one block, cut to the orders
+    monkeypatch.setattr(discrepancy, "_order_rows", lambda n_points: rows)
+    for n_points, n_max in ((2, 1), (17, 16), (91, 30), (206, 90), (300, 299)):
+        pts = random_points(n_points, 90 + n_points)
+        want = _spectral_sums_by_degree(pts, n_max)
+        _assert_same_bytes(discrepancy._power_sums_spectral(pts, n_max), want)
+
+
+def _traced_peak(call) -> int:
+    """Bytes that ``call`` allocates at its peak, above what is live before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_points", [998, 4000])
+def test_spectral_sums_hold_a_few_blocks_of_orders(n_points):
+    # five (rows, N) buffers, the (n_max + 1)^2 table and the recurrence
+    # coefficients, where the degree-by-degree form held about seven
+    # (n_max + 1, N) arrays (4.9 and 19.5 MB here)
+    n_max = 90
+    pts = random_points(n_points, 5)
+    rows = discrepancy._order_rows(n_points)
+    bound = 8 * (8 * rows * n_points + 4 * (n_max + 1) ** 2)
+    assert _traced_peak(lambda: discrepancy._power_sums_spectral(pts, n_max)) <= bound
+    assert _traced_peak(lambda: _spectral_sums_by_degree(pts, n_max)) > bound
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

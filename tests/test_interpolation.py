@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -457,6 +458,32 @@ def test_saddle_is_bit_identical_to_a_kernel_eval_of_eps_r(name, sigma, degree):
         assert g.tobytes() == _saddle_oracle(r, p, spec, eps, sigma).tobytes()
     with pytest.raises(DomainError):
         interpolation._saddle(r, p, spec, -1.0, sigma)
+
+
+@pytest.mark.parametrize("name", ["gine:d1", "ajne:d1"])
+@pytest.mark.parametrize("antipodal", [False, True])
+def test_saddle_tail_rows_keep_the_derivative_error_and_bytes(name, antipodal):
+    # the chain runs over the tail rows of the kernel columns too, at u = 0;
+    # a derivative at t = -1 (u >= 1) must raise as the kernel block alone
+    # raises, and everything else must return the oracle's bytes
+    spec = parse_kernel(name)
+    pts = random_unit_points(40, seed=31).points
+    if antipodal:
+        pts = np.vstack([pts[:39], -pts[:1]])
+    r, p = interpolation._geometry(PointSet(pts), 1)
+    outcomes = []
+    for eps in (0.5, 1.0, 2.0):
+        try:
+            want = _saddle_oracle(r, p, spec, eps, 0.1)
+        except SingularKernelError as err:
+            with pytest.raises(SingularKernelError, match=re.escape(str(err))):
+                interpolation._saddle(r, p, spec, eps, 0.1)
+            outcomes.append("raise")
+        else:
+            assert interpolation._saddle(r, p, spec, eps, 0.1).tobytes() == want.tobytes()
+            outcomes.append("return")
+    # eps = 1 reaches u = 1 only at an antipodal pair
+    assert outcomes == ["return", "raise" if antipodal else "return", "raise"]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
