@@ -17,7 +17,7 @@ A block of PAIR_ROWS rows i0:i1 builds the dots for the columns j >= i0 with
 :func:`_dots`, the one clipped-dot helper (one ``einsum`` contraction over
 points transposed once per call to (3, N), which the measure forms,
 :func:`pair_dot_matrix`, the greedy polish and the grid update share; the
-k-NN scan takes its unclipped :func:`_dot_block`), in a prefix of one buffer
+k-NN search takes its unclipped :func:`_dot_block`), in a prefix of one buffer
 that the call allocates, scans them for coincident pairs when the kernel is
 singular there, maps them in place to the half-chord u = sqrt((1 - t)/2)
 and evaluates the kernel over u in place; its partial is the sum of the
@@ -205,7 +205,8 @@ def _finite(total: float) -> float:
     return total
 
 
-def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> float:
+def _pair_kernel_sum(points: np.ndarray, spec: KernelSpec, diagonal_policy: str) -> float:
+    """sum_ij K(x_i . x_j) over the component-major (3, N) ``points``."""
     if diagonal_policy not in (INCLUDE, EXCLUDE):
         raise DomainError(f"unknown diagonal policy {diagonal_policy!r}")
     singular = is_singular_at_coincidence(spec)
@@ -213,7 +214,7 @@ def _pair_kernel_sum(pts: PointSet, spec: KernelSpec, diagonal_policy: str) -> f
         raise SingularKernelError(
             spec.name, "singular at coincidence; the diagonal must be excluded"
         )
-    p = np.ascontiguousarray(pts.points.T)  # (3, N), transposed once
+    p = np.ascontiguousarray(points)
     n = p.shape[1]
     exclude = diagonal_policy == EXCLUDE
     buf = np.empty(n * min(n, PAIR_ROWS))
@@ -258,7 +259,7 @@ def rms_discrepancy(
 
     A negative pre-sqrt sum is clamped to zero and flagged.
     """
-    s = _pair_kernel_sum(pts, spec, diagonal_policy)
+    s = _pair_kernel_sum(pts.points.T, spec, diagonal_policy)
     clamped = s < 0.0
     value = math.sqrt(max(0.0, s)) / len(pts)
     return DiscrepancyReport(
@@ -277,7 +278,7 @@ def mean_pair_discrepancy(
     pts: PointSet, spec: KernelSpec, diagonal_policy: str = INCLUDE
 ) -> DiscrepancyReport:
     """Mean pairwise kernel value (1/N^2) sum_ij K, reported signed."""
-    s = _pair_kernel_sum(pts, spec, diagonal_policy)
+    s = _pair_kernel_sum(pts.points.T, spec, diagonal_policy)
     return DiscrepancyReport(
         kernel=spec,
         n_points=len(pts),

@@ -15,11 +15,12 @@ Three generators:
   gets shorter than 1e-8),
 * iterative k-nearest-neighbor Riesz repulsion with a decaying step,
   re-projected to the sphere each iteration.  The iterate is kept
-  component-major, so a step is a few whole-row passes.  The k-NN scan
-  goes in row blocks, each in a prefix of one buffer per scan: the squared
-  chords come from the dot contraction of the pair sums, each row's k + 1
-  nearest from ``argpartition``, and only rows that tie at the k-th
-  distance are scanned again.
+  component-major, so a step is a few whole-row passes over fixed
+  buffers, and the k-NN search and the history take it as it is.  The
+  k-NN search is exact and spatially blocked: the points are ordered by
+  z band and azimuth, and each compact block of rows is ranked against
+  the columns in its widened bounding box only, its squared chords from
+  the dot contraction of the pair sums (see :func:`_knn`).
 
 Everything is deterministic for a fixed seed, and everything runs on the
 calling thread; per-iteration updates read only the previous iterate.  The
@@ -42,18 +43,23 @@ import numpy as np
 from .errors import ConditioningError, ConfigurationError, DomainError, require, whole
 from .discrepancy import (
     _COINCIDENCE_T,
+    INCLUDE,
     PointSet,
     _dot_block,
     _dots,
     _einsum,
-    mean_pair_discrepancy,
+    _pair_kernel_sum,
 )
 from .kernels import KernelSpec, _Plan, _descent_plan, _exponent_text, _half_chords, _plan, _quiet
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-#: Row block of the k-NN scan: a (KNN_ROWS, N) distance block at a time.
-KNN_ROWS = 128
+#: Rows of one k-NN block, each ranked against the columns near it.
+KNN_BLOCK = 128
+
+# squared-chord slack of the k-NN candidate test: above the 4.01e-12 by
+# which a computed squared chord can miss the true one (see _knn)
+_KNN_SLACK = 1e-10
 
 #: The Riesz descent recomputes its neighbors every KNN_REFRESH iterations.
 KNN_REFRESH = 10
@@ -319,53 +325,116 @@ def greedy_generate(
 def knn_indices(pts: PointSet, k: int) -> np.ndarray:
     """(N, k) indices of each point's k nearest neighbors (chordal metric).
 
-    Brute-force O(N^2) scan with a partial sort per row; ties break toward
-    the lower index, also at the k-th distance; a point is never its own
-    neighbor.  Rows go in blocks of KNN_ROWS, each block's squared chords
-    in a prefix of one buffer, so no N x N array is made.
+    Exact: each row's neighbors are the first k columns in the order of
+    (squared chord, index), the squared chord max(0, 2 - 2 x_i . x_j) of the
+    pair sums' dots; a point is never its own neighbor, and ties break
+    toward the lower index, also at the k-th distance.  The rows go in
+    compact blocks of about KNN_BLOCK, each ranked against the columns
+    near it only (see :func:`_knn`): on a spread-out set a row is ranked
+    against a few hundred columns at k = 12 whatever N is, and no N x N
+    array is made.
     """
-    n = len(pts)
     k = whole(k, "k must be a positive integer", low=1)
+    return _knn(np.ascontiguousarray(pts.points.T), k)
+
+
+def _knn(p: np.ndarray, k: int) -> np.ndarray:
+    """:func:`knn_indices` of the component-major (3, N) points ``p``.
+
+    The points are ordered by z band, then azimuth, and taken KNN_BLOCK at
+    a time; the bands hold whole blocks and are about one block wide, so a
+    block is a compact patch (Bentley, Stanat & Williams, Inf. Proc. Lett.
+    6 (1977) 209-212).  A block's candidates are the columns inside its
+    3-D bounding box widened by a reach r, first sqrt(8 (k + 1) / N),
+    about 1.4 times the k-th chord of a uniform set.  A block row's
+    neighbors are ranked among its candidates by (squared chord, index).
+
+    Exactness: a row's first k by (squared chord, index) among the
+    candidates are its first k among all columns if every column whose
+    squared chord d2 is at most the row's k-th candidate distance D is a
+    candidate (a global k-th distance is at most D).  A computed d2 is
+    within 4.01e-12 of the true |x_i - x_j|^2 (the dot's rounding and the
+    1e-12 norm tolerance of a PointSet), so when D + _KNN_SLACK <= r^2
+    every such column is closer than r - 1e-11 to the row's point in every
+    coordinate, and so inside the box, rounding of the box included.  The
+    candidates are sorted, so ranking by position ranks by index.  Rows
+    where D + _KNN_SLACK > r^2 are ranked again, as a block of their own,
+    with r^2 = max D + 2 _KNN_SLACK: the new box holds each such row's k
+    nearest candidates, so its D can only fall, and the second pass
+    passes.  A box with k or fewer candidates takes r = inf, every column.
+    A block whose box covers the set is the full scan.
+    """
+    n = p.shape[1]
     if k >= n:
         raise DomainError("k must be smaller than the number of points")
-    p = np.ascontiguousarray(pts.points.T)
-    rows = KNN_ROWS
-    buf = np.empty(min(n, rows) * n)
-    return np.concatenate(
-        [_knn_rows(p, i, min(i + rows, n), k, buf) for i in range(0, n, rows)]
-    )
+    x, y, z = p
+    by_z = np.argsort(z, kind="stable")
+    x_z, y_z, z_z = x[by_z], y[by_z], z[by_z]
+    # sqrt(pi blocks) blocks to a band: a band is then 2 / bands high in z,
+    # and at the equator a block, 2 pi / (blocks per band) wide, is as wide
+    band = KNN_BLOCK * max(1, round(math.sqrt(math.pi * -(-n // KNN_BLOCK))))
+    order = by_z[np.lexsort((np.arctan2(y_z, x_z), np.arange(n) // band))]
+    out = np.empty((n, k), dtype=np.intp)
+    for i in range(0, n, KNN_BLOCK):
+        rows, reach = order[i : i + KNN_BLOCK], math.sqrt(8.0 * (k + 1) / n)
+        while rows.size:
+            q = np.take(p, rows, axis=1)
+            lo, hi = q.min(axis=1) - reach, q.max(axis=1) + reach
+            j0, j1 = np.searchsorted(z_z, lo[2]), np.searchsorted(z_z, hi[2], "right")
+            cx, cy = x_z[j0:j1], y_z[j0:j1]
+            inside = (cx >= lo[0]) & (cx <= hi[0]) & (cy >= lo[1]) & (cy <= hi[1])
+            cand = np.sort(by_z[j0:j1][inside])
+            if cand.size <= k:
+                reach = math.inf
+                continue
+            near, kth = _knn_rank(q, np.take(p, cand, axis=1), np.searchsorted(cand, rows), k)
+            short = kth + _KNN_SLACK > reach * reach
+            out[rows[~short]] = cand[near[~short]]
+            if short.any():
+                reach = math.sqrt(float(kth[short].max()) + 2.0 * _KNN_SLACK)
+            rows = rows[short]
+    return out
 
 
-def _knn_rows(p: np.ndarray, i0: int, i1: int, k: int, buf: np.ndarray) -> np.ndarray:
-    # p is the (3, N) component-major point array; buf holds the block
-    rows = i1 - i0
-    d2 = buf[: rows * p.shape[1]].reshape(rows, p.shape[1])
-    # squared chord 2 - 2 q . p, unclipped
-    _dot_block(np.ascontiguousarray(p[:, i0:i1]), p, d2)
-    d2 *= 2.0
-    np.subtract(2.0, d2, out=d2)
-    np.maximum(0.0, d2, out=d2)
-    r = np.arange(rows)
-    d2[r, r + i0] = np.inf
-    # the k + 1 nearest columns of each row, sorted by (distance, index):
-    # their first k are the neighbors unless the (k+1)-th ties the k-th
-    near = np.argpartition(d2, k, axis=1)[:, : k + 1]
-    dist = np.take_along_axis(d2, near, axis=1)
-    order = np.lexsort((near, dist), axis=1)
-    near = np.take_along_axis(near, order, axis=1)[:, :k]
-    dist = np.take_along_axis(dist, order, axis=1)
-    tied = np.flatnonzero(dist[:, k - 1] == dist[:, k])
-    if tied.size:
-        # every column within a tied row's k-th distance is a candidate;
-        # nonzero lists them by (row, index) and lexsort is stable, so
-        # sorted by (row, distance) a row's first k candidates are its
-        # neighbors, with ties at the k-th distance going to the lower index
-        sub = d2[tied]
-        row, col = np.nonzero(sub <= dist[tied, k - 1 : k])
-        col = col[np.lexsort((sub[row, col], row))]
-        first = np.searchsorted(row, np.arange(tied.size))
-        near[tied] = col[first[:, None] + np.arange(k)]
-    return near
+def _knn_rank(
+    q: np.ndarray, c: np.ndarray, own: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``c`` of the k nearest columns of each column of ``q``,
+    both component-major, and each row's k-th squared chord.  Column
+    own[r] of ``c`` is row r itself."""
+    rows, cols = q.shape[1], c.shape[1]
+    d2 = np.empty((rows, cols))
+    # 2 - 2 q . c, the squared chord before its clip at 0: doubling is
+    # exact, so -2 q gives the dots' bits times -2 (a subnormal product can
+    # round apart, but that moves only a dot below 2^-54, and 2 - 2 q . c
+    # is 2 either way)
+    _dot_block(-2.0 * q, c, d2)
+    d2 += 2.0
+    d2[np.arange(rows), own] = np.inf
+    # the clip keeps the order, so the k-th clipped chord is the clipped
+    # k-th, and the columns within it are those whose unclipped d2 is
+    kth = np.maximum(0.0, np.partition(d2, k - 1, axis=1)[:, k - 1])
+    # the columns within each row's k-th distance (k of them, more where
+    # the k-th distance ties), listed by (row, position) into rows padded
+    # with +inf; a stable sort of each row by distance puts its neighbors
+    # first, a tie going to the lower position, which is the lower index
+    row, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), cols)
+    slot = np.arange(row.size) - np.searchsorted(row, np.arange(rows))[row]
+    dist = np.full((rows, int(slot.max()) + 1), np.inf)
+    dist[row, slot] = np.maximum(0.0, d2[row, col])
+    near = np.zeros(dist.shape, dtype=np.intp)
+    near[row, slot] = col
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(near, order, axis=1), kth
+
+
+def _squared_norms(v: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(v0 v0 + v1 v1) + v2 v2 of the component-major ``v`` into ``out``,
+    with ``sq``, shaped as ``v``, for the squares."""
+    np.multiply(v, v, out=sq)
+    np.add(sq[0], sq[1], out=out)
+    out += sq[2]
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the step mask and checks catch these
@@ -387,23 +456,35 @@ def riesz_refine(
     nearest neighbor is at distance 0, or so close that |x_i - x_j|^(s+2)
     underflows to 0: the repulsion has no direction there.  Raises
     :class:`DomainError` naming the offset and the iteration when a step
-    overflows, as a tiny offset makes it do on the first iteration.
+    overflows, as a tiny offset makes it do on the first iteration, and
+    naming s and the iteration when a repulsion component overflows, which
+    would leave its point not finite.
 
     The history holds, per iteration, the bounded-kernel (cui-freeden)
     mean-pair score of the iterate; ``history=False`` skips it and returns
     an empty list.
     """
-    x = np.ascontiguousarray(pts.points.T)
-    s = params.riesz_s
+    x = pts.points.T.copy()  # the iterate, updated in place
+    s, e, k, n = params.riesz_s, params.riesz_s + 2.0, params.k_neighbors, len(pts)
+    # fixed buffers: differences and their products (3, k, N), distances
+    # and weights (k, N), the repulsion g and the squares of g, then of x
+    # (3, N), and (N,) rows; norm holds |g|, then |x|^2
+    diff, prod = np.empty((3, k, n)), np.empty((3, k, n))
+    dist, w = np.empty((k, n)), np.empty((k, n))
+    g, sq = np.empty((3, n)), np.empty((3, n))
+    delta, norm, step = np.empty(n), np.empty(n), np.empty(n)
+    cf = KernelSpec("cui-freeden")
     scores: list[float] = []
     neighbors = None
     for t in range(params.iterations):
         if t % KNN_REFRESH == 0:
-            neighbors = knn_indices(PointSet(x.T), params.k_neighbors).T.copy()
-        diff = [xc - xc[neighbors] for xc in x]  # each (k, N)
-        dist = np.sqrt((diff[0] * diff[0] + diff[1] * diff[1]) + diff[2] * diff[2])
-        delta = np.min(dist, axis=0)
-        w = dist ** (s + 2.0)
+            neighbors = _knn(x, k).T.copy()
+        np.take(x, neighbors, axis=1, out=diff, mode="wrap")  # in range: no bounds buffer
+        np.subtract(x[:, None, :], diff, out=diff)  # x_i - x_j, component by component
+        np.sqrt(_squared_norms(diff, prod, dist), out=dist)
+        np.min(dist, axis=0, out=delta)
+        w[...] = dist
+        w **= e  # the operator, so w holds the bits of dist ** e
         if not w.all():
             i = int(np.flatnonzero(~w.all(axis=0))[0])
             nearest = np.flatnonzero(w[:, i] == 0.0)[0]
@@ -412,17 +493,23 @@ def riesz_refine(
             if dist[nearest, i] == 0.0:
                 raise DomainError(f"coincident {pair}")
             raise DomainError(f"nearly coincident {pair}: distance^(s+2) underflows to 0")
-        g = [s * np.sum(dc / w, axis=0) for dc in diff]
-        g_norm = np.sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2])
-        ok = (g_norm > 0.0) & np.isfinite(g_norm)
-        step = np.zeros_like(g_norm)
-        step[ok] = delta[ok] / (t + params.offset) / g_norm[ok]
+        np.divide(diff, w, out=prod)
+        np.sum(prod, axis=1, out=g)  # in neighbor order
+        g *= s
+        np.sqrt(_squared_norms(g, sq, norm), out=norm)
+        ok = (norm > 0.0) & np.isfinite(norm)
+        np.divide(delta, t + params.offset, out=step)
+        np.divide(step, norm, out=step, where=ok)
+        step[~ok] = 0.0
         if not np.isfinite(step).all():
             raise DomainError(f"step at iteration {t} is not finite with offset {params.offset!r}")
-        x = np.stack([xc + step * gc for xc, gc in zip(x, g)])
-        x /= np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+        g *= step
+        x += g
+        _squared_norms(x, sq, norm)
+        if not np.isfinite(norm).all():  # an overflowed repulsion times a zero step
+            raise DomainError(f"repulsion at iteration {t} overflows with riesz_s {s!r}")
+        x /= np.sqrt(norm, out=norm)
         if history:
-            pair = mean_pair_discrepancy(PointSet(x.T), KernelSpec("cui-freeden"), "include")
-            scores.append(pair.value)
+            scores.append(_pair_kernel_sum(x, cf, INCLUDE) / n**2)
     refined = PointSet(x.T, seed=pts.seed, provenance=f"riesz_refine:s={_exponent_text(s)}")
     return refined, scores

@@ -668,7 +668,7 @@ def test_pair_kernel_sum_matches_full_matrix_fsum(n_points):
     pts = random_points(n_points, 40 + n_points)
     for spec, policy in PAIR_SUM_CASES:
         expect = full_matrix_pair_sum(pts, spec, policy == INCLUDE)
-        got = discrepancy._pair_kernel_sum(pts, spec, policy)
+        got = discrepancy._pair_kernel_sum(pts.points.T, spec, policy)
         assert abs(got - expect) <= 1e-14 * abs(expect), (spec.name, policy)
 
 
@@ -676,7 +676,10 @@ def test_pair_kernel_sum_is_byte_identical_across_thread_counts():
     # a plain repeat-run check: every block runs on the calling thread
     pts = random_points(998, 3)
     sums = [
-        [discrepancy._pair_kernel_sum(pts, spec, policy).hex() for spec, policy in PAIR_SUM_CASES]
+        [
+            discrepancy._pair_kernel_sum(pts.points.T, spec, policy).hex()
+            for spec, policy in PAIR_SUM_CASES
+        ]
         for _ in range(2)
     ]
     assert sums[0] == sums[1]

@@ -44,6 +44,7 @@ from sphereq.pointgen import (
     candidate_grid,
     greedy_generate,
     greedy_next,
+    knn_indices,
     random_unit_points,
     riesz_refine,
 )
@@ -54,6 +55,7 @@ CF3 = KernelSpec("cui-freeden", m=3)  # refused inside the error state
 NAN_GRID = parse_kernel("riesz:s=-2001:d2")  # its grid sums make NaN and -inf
 FAR = KernelSpec("riesz", s=-2000.0)  # overflows on far pairs
 P20 = random_unit_points(20, seed=1)
+P998 = random_unit_points(998, seed=1)  # many k-NN blocks, where P20 is one
 Y20 = franke_eval(P20.points)
 GRID16 = candidate_grid(16)
 
@@ -74,6 +76,10 @@ CALLS = [
      ConditioningError),
     ("riesz_refine", lambda: riesz_refine(P20, RefineParams(k_neighbors=3, iterations=3)), None),
     ("riesz_refine", lambda: riesz_refine(_with_duplicate(P20), RefineParams(3, 3)), DomainError),
+    ("riesz_refine", lambda: riesz_refine(P998, RefineParams(k_neighbors=12, iterations=11)), None),
+    ("riesz_refine", lambda: riesz_refine(_with_duplicate(P998), RefineParams(12, 3)), DomainError),
+    ("knn_indices", lambda: knn_indices(P998, 12), None),
+    ("knn_indices", lambda: knn_indices(P998, 998), DomainError),
     ("rms_discrepancy", lambda: rms_discrepancy(P20, CF), None),
     ("rms_discrepancy", lambda: rms_discrepancy(_with_duplicate(P20), PYCKE, EXCLUDE),
      SingularKernelError),

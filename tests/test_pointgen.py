@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphereq import kernels, pointgen
@@ -602,9 +602,9 @@ def _rings(n_rings, per_ring):
 
 
 @pytest.mark.parametrize("pts", [random_unit_points(300, seed=5), _rings(12, 25)])
-@pytest.mark.parametrize("rows", [7, pointgen.KNN_ROWS])
+@pytest.mark.parametrize("rows", [1, 7, pointgen.KNN_BLOCK])
 def test_knn_row_blocks_match_full_matrix(pts, rows, monkeypatch):
-    monkeypatch.setattr(pointgen, "KNN_ROWS", rows)
+    monkeypatch.setattr(pointgen, "KNN_BLOCK", rows)
     p = pts.points
     d2 = np.maximum(0.0, 2.0 - 2.0 * (p[:, 0][:, None] * p[:, 0][None, :]
                                       + p[:, 1][:, None] * p[:, 1][None, :]
@@ -730,7 +730,9 @@ def _refine_oracle(pts, params):
     return x
 
 
-@pytest.mark.parametrize("n, k", [(2, 1), (13, 1), (13, 12), (206, 1), (206, 12)])
+@pytest.mark.parametrize(
+    "n, k", [(2, 1), (13, 1), (13, 12), (206, 1), (206, 12), (998, 12)]
+)
 @pytest.mark.parametrize("s", [1.0, 2.5])
 def test_refine_equals_the_point_major_loop(n, k, s):
     pts = random_unit_points(n, seed=n + k)
@@ -739,22 +741,81 @@ def test_refine_equals_the_point_major_loop(n, k, s):
     assert out.points.tobytes() == _refine_oracle(pts, params).tobytes()
 
 
+def test_refine_at_the_benchmark_size_keeps_its_bytes(monkeypatch):
+    # three k-NN refreshes of many blocks each, and the history, against
+    # the same run on full-matrix neighbors
+    pts = random_unit_points(998, seed=7)
+    params = RefineParams(k_neighbors=12, iterations=21)
+    out, history = riesz_refine(pts, params)
+    monkeypatch.setattr(pointgen, "_knn", lambda p, k: _knn_oracle(p.T, k))
+    expect, expect_history = riesz_refine(pts, params)
+    assert out.points.tobytes() == expect.points.tobytes()
+    assert len(history) == 21
+    assert np.array(history).tobytes() == np.array(expect_history).tobytes()
+
+
+def _cap(n, seed, outside, scale, axis):
+    # n random points, all but the first ``outside`` squeezed into a cap of
+    # radius about ``scale`` about a coordinate axis: the first reach of the
+    # search is too short for the points outside
+    p = random_unit_points(n, seed=seed).points.copy()
+    inside = np.arange(n) >= outside
+    p[inside, :2] *= scale
+    p[inside, 2] = np.abs(p[inside, 2])
+    p /= np.sqrt(np.sum(p * p, axis=1))[:, None]
+    return p[:, np.roll([0, 1, 2], axis)]
+
+
+def _clip_ties():
+    # random points, then a point x whose dot with itself rounds above 1,
+    # planted with one-ulp neighbors: its squared chords to them and to its
+    # own copy in the set are 0 and below 0, all ties once clipped at 0
+    p = random_unit_points(60, seed=1).points
+    x = p[np.flatnonzero((p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1]) + p[:, 2] * p[:, 2] > 1.0)[0]]
+    ulp = [np.nextafter(x, math.inf * np.array(sign)) for sign in
+           ([1, 1, 1], [-1, -1, -1], [1, -1, 1], [-1, 1, -1])]
+    return np.vstack([ulp[:2], p, [x], ulp[2:]])
+
+
 @st.composite
 def _knn_cases(draw):
-    if draw(st.booleans()):
-        p = random_unit_points(draw(st.integers(2, 300)), seed=draw(st.integers(0, 999))).points
+    # the blocks of the search and their retries run from N = 129 up; the
+    # examples below go to about 2500 points, and "tiny" to N <= k + 2
+    kind = draw(st.sampled_from(["random", "cap", "fibonacci", "rings", "tiny"]))
+    n, seed = draw(st.integers(2, 600)), draw(st.integers(0, 999))
+    if kind == "random":
+        p = random_unit_points(n, seed=seed).points.copy()
+    elif kind == "cap":
+        scale = 10.0 ** -draw(st.integers(1, 4))
+        p = _cap(n, seed, draw(st.integers(0, min(n, 40))), scale, draw(st.integers(0, 2)))
+        p *= draw(st.sampled_from([1.0, -1.0]))
+    elif kind == "fibonacci":
+        p = candidate_grid(max(n, 16)).points.points.copy()
+    elif kind == "rings":
+        p = _rings(draw(st.integers(1, 20)), draw(st.integers(2, 40))).points.copy()
     else:
-        p = _rings(draw(st.integers(1, 8)), draw(st.integers(2, 40))).points
-    p = p.copy()
+        p = random_unit_points(draw(st.integers(2, 22)), seed=seed).points.copy()
     n = len(p)
-    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                  max_size=6)):
-        p[dst] = p[src]  # planted exact duplicates
+    # the poles and the azimuth seam, where atan2 jumps from pi to -pi
+    seam = st.tuples(st.integers(0, n - 1), st.sampled_from([1.0, -1.0, 0.0, 0.5, -0.999]))
+    for i, z in draw(st.lists(seam, max_size=4)):
+        p[i] = (-math.sqrt(1.0 - z * z), draw(st.sampled_from([0.0, -0.0, 1e-300, -1e-300])), z)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())
+    for src, dst, flip in draw(st.lists(pairs, max_size=6)):
+        p[dst] = -p[src] if flip else p[src]  # planted antipodes and duplicates
+    if kind == "tiny":
+        return p, max(1, n - draw(st.integers(1, 2)))
     return p, draw(st.integers(1, min(20, n - 1)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_knn_cases())
+@example((random_unit_points(2500, seed=1).points, 12))
+@example((_cap(1500, 2, 30, 1e-2, 1), 20))
+@example((candidate_grid(1200).points.points, 12))
+@example((_rings(30, 50).points, 20))
+@example((np.vstack([-_cap(1024, 3, 0, 0.1, 0), [[-1.0, 0.0, 0.0]]]), 20))  # a lone last block
+@example((_clip_ties(), 3))
 def test_knn_equals_a_full_matrix_stable_argsort(case):
     p, k = case
     np.testing.assert_array_equal(knn_indices(PointSet(p), k), _knn_oracle(p, k))
@@ -812,6 +873,18 @@ def test_refine_with_a_huge_exponent_does_not_warn():
     for history in (True, False):
         with pytest.raises(DomainError, match="iteration 0 is not finite with offset 5e-324"):
             riesz_refine(random_unit_points(2, seed=1), params, history=history)
+
+
+@pytest.mark.parametrize("history", [True, False])
+def test_refine_names_an_overflowed_repulsion(history):
+    # |x_i - x_j|^1002 is subnormal at a chord of 0.485, so (x_i - x_j) /
+    # |x_i - x_j|^1002 overflows; its zero step used to make the point NaN,
+    # which the history's PointSet refused and the k-NN search cannot take
+    th = 2.0 * math.asin(0.2425)
+    p = np.array([[1.0, 0.0, 0.0], [math.cos(th), math.sin(th), 0.0], [0, 0, 1.0], [0, 0, -1.0]])
+    params = RefineParams(k_neighbors=1, iterations=25, riesz_s=1000.0)
+    with pytest.raises(DomainError, match="repulsion at iteration 0 overflows with riesz_s 1000.0"):
+        riesz_refine(PointSet(p), params, history=history)
 
 
 def test_greedy_with_an_overflowing_kernel_does_not_warn():

@@ -11,7 +11,8 @@ PAIR_CASES = ((KernelSpec("cui-freeden"), "include"), (KernelSpec("pycke"), "exc
 
 
 def _results(pts, mu, omega):
-    sums = [discrepancy._pair_kernel_sum(pts, spec, policy).hex() for spec, policy in PAIR_CASES]
+    p = pts.points.T
+    sums = [discrepancy._pair_kernel_sum(p, spec, policy).hex() for spec, policy in PAIR_CASES]
     knn = pointgen.knn_indices(pts, 12).tobytes()
     q = discrepancy.measure_inner_product(mu, omega, KernelSpec("cui-freeden")).hex()
     return sums, knn, q
@@ -19,7 +20,7 @@ def _results(pts, mu, omega):
 
 def test_concurrent_callers_get_the_serial_bytes():
     # every block buffer belongs to one call, so two threads running the
-    # blocked sums and k-NN scans at once must not see each other's blocks
+    # blocked sums and k-NN searches at once must not see each other's blocks
     pts = pointgen.random_unit_points(998, seed=1)
     rng = np.random.default_rng(2)
     mu = WeightedMeasure(pointgen.random_unit_points(300, seed=3), rng.standard_normal(300))
