@@ -12,19 +12,18 @@ Three scoring routes share one deterministic pairwise-summation backend:
 All pair sums accumulate in fixed index order with compensated block merging,
 so reports are bit-identical from run to run.
 
-The closed-form double sums visit only the upper triangle of the pair matrix.
-A block of PAIR_ROWS rows i0:i1 builds the dots for the columns j >= i0 with
-:func:`_dots`, the one clipped-dot helper (one ``einsum`` contraction over
-points transposed once per call to (3, N), which the measure forms,
-:func:`pair_dot_matrix`, the greedy polish and the grid update share; the
-k-NN search takes its unclipped :func:`_dot_block`), in a prefix of one buffer
-that the call allocates, scans them for coincident pairs when the kernel is
-singular there, maps them in place to the half-chord u = sqrt((1 - t)/2)
-and evaluates the kernel over u in place; its partial is the sum of the
-diagonal tile plus twice the sum of the tile to its right.  That is exact
-in structure: the three-term dot gives t_ij == t_ji bit for bit.  The
-blocks run in order on the calling thread, so the first block that finds a
-coincident pair raises, and the partials merge in block order.
+The closed-form double sums and the series Gram route visit only the upper
+triangle of the pair matrix, through one tile loop, :func:`_pair_tiles`: a
+block of PAIR_ROWS rows i0:i1 forms the dots of the columns j >= i0 with
+:func:`_dots`, the one clipped-dot helper (an ``einsum`` over points
+transposed once per call to (3, N)), in a prefix of one buffer, and pins
+their diagonal.  A block's partial is the sum of its diagonal tile plus
+twice that of the tile to its right, exact in structure: the three-term dot
+gives t_ij == t_ji bit for bit.  The pair sums scan a tile for coincident
+pairs when the kernel is singular there and evaluate the kernel over the
+half-chords u = sqrt((1 - t)/2) in place.  The blocks run in order on the
+calling thread, so the first block that finds a coincident pair raises, and
+the partials merge in block order.
 
 The series score rests on one quantity, the Legendre power sums
 S_n = sum_ij P_n(x_i . x_j) for n = 0..n_max.  Every derivative order is a
@@ -46,16 +45,17 @@ from one of two routes, chosen from the input with no option:
   ``np.sum`` reductions, never BLAS, so results do not depend on thread
   counts.  The degree cap keeps the unscaled recurrence far from the
   degrees where it loses accuracy;
-* the Gram route otherwise: the Bonnet recurrence over the N^2 matrix of
-  pairwise dots, in O(N^2 n_max) time, run over one summation.BLOCK of the
-  flat dots at a time, so beside the dots it holds O(BLOCK) memory.  It is
-  faster for few points and is the only route above the degree cap.
+* the Gram route otherwise: the Bonnet recurrence over the same pair tiles,
+  summed as the pair sums sum theirs, in O(N^2 n_max / 2) time and
+  O(PAIR_ROWS N) memory, with no N^2 array.  It is faster for few points and
+  is the only route above the degree cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from numpy._core.multiarray import c_einsum as _einsum  # np.einsum without its wrapper
@@ -182,17 +182,6 @@ def _dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return _clip(_dot_block(a, b, t), -1.0, 1.0, out=t)
 
 
-def pair_dot_matrix(pts: PointSet) -> np.ndarray:
-    """Full matrix of pairwise dot products, clipped to [-1, 1].
-
-    The diagonal is pinned to exactly 1 (unit vectors by contract).
-    """
-    p = np.ascontiguousarray(pts.points.T)
-    t = _dots(p, p)
-    np.fill_diagonal(t, 1.0)
-    return t
-
-
 def _finite(total: float) -> float:
     """``total`` itself, unless a kernel sum overflowed.
 
@@ -203,6 +192,29 @@ def _finite(total: float) -> float:
     if not math.isfinite(total):
         raise ConditioningError(f"kernel sum is not finite ({total!r})")
     return total
+
+
+def _pair_tiles(p: np.ndarray, diagonal: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, t) for each block of PAIR_ROWS rows i0:i1 of the (3, N) ``p``:
+    the (N - i0, b) dots t = _dots(p[:, i0:], p[:, i0:i1]), diagonal set to
+    ``diagonal``, the diagonal tile first; the next block overwrites t."""
+    n = p.shape[1]
+    buf = np.empty(n * min(n, PAIR_ROWS))
+    for i0 in range(0, n, PAIR_ROWS):
+        b = min(PAIR_ROWS, n - i0)
+        t = _dots(p[:, i0:], p[:, i0 : i0 + b], buf[: (n - i0) * b].reshape(n - i0, b))
+        # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
+        # the half-chord sqrt amplifying last-bit norm rounding
+        np.fill_diagonal(t, diagonal)
+        yield b, t
+
+
+def _tile_sum(b: int, k: np.ndarray) -> float:
+    """A block's share of a sum over both triangles: its diagonal tile plus
+    twice the tile to its right, which the last block does not have."""
+    k = k.reshape(-1)
+    diag = block_sum(k[: b * b])
+    return diag + 2.0 * block_sum(k[b * b :]) if k.size > b * b else diag
 
 
 def _pair_kernel_sum(points: np.ndarray, spec: KernelSpec, diagonal_policy: str) -> float:
@@ -217,38 +229,24 @@ def _pair_kernel_sum(points: np.ndarray, spec: KernelSpec, diagonal_policy: str)
     p = np.ascontiguousarray(points)
     n = p.shape[1]
     exclude = diagonal_policy == EXCLUDE
-    buf = np.empty(n * min(n, PAIR_ROWS))
     value = _plan(spec).value
-
-    def row_block(i0: int, i1: int) -> float:
-        b = i1 - i0
-        d = np.arange(b)
-        # rows j >= i0, columns i0 <= i < i1: the diagonal tile, then the
-        # tile to its right in the full matrix
-        u = _dots(p[:, i0:], p[:, i0:i1], buf[: (n - i0) * b].reshape(n - i0, b))
-        # the Gram diagonal is exactly 1 for unit vectors; pinning it avoids
-        # the half-chord sqrt amplifying last-bit norm rounding
-        u[d, d] = 0.0 if exclude else 1.0
-        if singular:
-            hit = u >= _COINCIDENCE_T
-            if hit.any():
-                # the first row-major hit of the full matrix has i < j and t
-                # is symmetric, so the upper triangle holds that same hit;
-                # the blocks run in order, so the earliest block raises
-                i, j = (int(x) + i0 for x in np.argwhere(hit.T)[0])
-                raise SingularKernelError(
-                    spec.name,
-                    f"coincident points at indices {i} and {j}",
-                    indices=(i, j),
-                )
-        # the clip keeps u in [0, 1], so only the singularity checks remain
-        k = value(_half_chords(u), u)
-        if exclude:
-            k[d, d] = 0.0
-        return block_sum(k[:b]) + 2.0 * block_sum(k[b:])
-
+    partials = []
     with _quiet():
-        partials = [row_block(i, min(i + PAIR_ROWS, n)) for i in range(0, n, PAIR_ROWS)]
+        for b, u in _pair_tiles(p, 0.0 if exclude else 1.0):
+            if singular:
+                hit = u >= _COINCIDENCE_T
+                if hit.any():
+                    # the first row-major hit of the full matrix has i < j and
+                    # t is symmetric, so the upper triangle holds that same
+                    # hit; the blocks run in order, so the earliest block raises
+                    i, j = (int(x) + n - len(u) for x in np.argwhere(hit.T)[0])
+                    msg = f"coincident points at indices {i} and {j}"
+                    raise SingularKernelError(spec.name, msg, indices=(i, j))
+            # the clip keeps u in [0, 1], so only the singularity checks remain
+            k = value(_half_chords(u), u)
+            if exclude:
+                np.fill_diagonal(k, 0.0)
+            partials.append(_tile_sum(b, k))
     return _finite(neumaier_sum(partials))
 
 
@@ -295,13 +293,13 @@ def energy(pts: PointSet, spec: KernelSpec) -> float:
 
 
 def _power_sums_gram(pts: PointSet, n_max: int) -> np.ndarray:
-    # S_n over the N^2 Gram matrix by the m = 0 recurrence, run on one BLOCK of
-    # the flat dots at a time; a degree's block sums merge as block_sum merges
-    # them, a lone block's sum unmerged, so the bytes (-0.0 too) are block_sum's
-    t = pair_dot_matrix(pts).ravel()
-    blocks = (t[i : i + BLOCK] for i in range(0, t.size, BLOCK))
-    partials = zip(*[[np.sum(p) for p in derivative_recurrence(n_max, 0, b)] for b in blocks])
-    return np.array([neumaier_sum(d) if len(d) > 1 else d[0] for d in partials])
+    # S_n by the m = 0 recurrence over each flat pair tile; a degree sums its
+    # tiles as the pair sums do, and its blocks merge with neumaier_sum
+    partials = [
+        [_tile_sum(b, p) for p in derivative_recurrence(n_max, 0, t.reshape(-1))]
+        for b, t in _pair_tiles(np.ascontiguousarray(pts.points.T), 1.0)
+    ]
+    return np.array([neumaier_sum(d) for d in zip(*partials)])
 
 
 def _order_rows(n_points: int) -> int:

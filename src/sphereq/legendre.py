@@ -29,19 +29,8 @@ _DEGREE = "degree must be a non-negative integer"
 
 
 def legendre_eval(n: int, x):
-    """Evaluate P_n(x) by Bonnet's recurrence.
-
-    Parameters
-    ----------
-    n : int
-        Degree, >= 0.
-    x : float or ndarray
-        Abscissae in [-1, 1].
-
-    Returns
-    -------
-    float or ndarray with P_n(x), normalized so that P_n(1) = 1.
-    """
+    """P_n(x) of degree n >= 0 by Bonnet's recurrence, normalized so that
+    P_n(1) = 1: a float for a scalar x in [-1, 1], else an array like x."""
     return legendre_derivative_eval(n, 0, x)
 
 
@@ -77,7 +66,9 @@ def derivative_recurrence(n_max: int, m: int, x: np.ndarray) -> Iterator[np.ndar
     which at m = 0 is Bonnet's.  Consumers that need the whole degree range
     (series evaluators) iterate this generator instead of calling
     :func:`legendre_derivative_eval` per degree.  Raises
-    :class:`ConditioningError` where (2m-1)!! overflows.
+    :class:`ConditioningError` where (2m-1)!! overflows.  It runs in place on
+    three buffers, so the next step overwrites a yielded array; each step
+    keeps the operation order, and so the bits, of the expression above.
     """
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
@@ -89,9 +80,15 @@ def derivative_recurrence(n_max: int, m: int, x: np.ndarray) -> Iterator[np.ndar
     if start == math.inf:
         raise ConditioningError(f"P_n^({m}) overflows: (2m-1)!! is beyond the float range")
     cur = np.full_like(x, start)
+    work = np.empty_like(x)
     yield cur
     for k in range(m, n_max):
-        prev, cur = cur, ((2 * k + 1) * (x * cur) - (k + m) * prev) / (k - m + 1)
+        np.multiply(x, cur, out=work)
+        work *= 2 * k + 1
+        prev *= k + m
+        np.subtract(work, prev, out=prev)
+        prev /= k - m + 1
+        prev, cur = cur, prev
         yield cur
 
 

@@ -24,7 +24,6 @@ from sphereq.discrepancy import (
     mean_pair_discrepancy,
     measure_inner_product,
     min_generalized_discrepancy,
-    pair_dot_matrix,
     rms_discrepancy,
     series_generalized_discrepancy,
     signed_discrepancy,
@@ -265,11 +264,18 @@ def test_series_closed_form_coherence_random_sets():
 
 # --- series routes against the derivative-stack oracle ------------------------
 
+def _gram(pts):
+    """The clipped Gram matrix from test-side dots, its diagonal pinned to 1."""
+    t = _explicit_dots(pts.points, pts.points)
+    np.fill_diagonal(t, 1.0)
+    return t
+
+
 def _stack_sums(pts, n_max, m):
     """sum_ij P_n^(j)(x_i . x_j) for j = 0..m, n = 0..n_max, as a (m+1, n_max+1)
     array: the recurrence of each order j over the whole Gram matrix, summed
     with block_sum, independent of the parity sums of _differentiate_sums."""
-    t = pair_dot_matrix(pts).ravel()
+    t = _gram(pts).ravel()
     return np.array(
         [[block_sum(p) for p in derivative_recurrence(n_max, j, t)] for j in range(m + 1)]
     )
@@ -304,17 +310,50 @@ SERIES_FAMILIES = (
 )
 
 
-@pytest.mark.parametrize("n_points", [127, 128, 300])
+def _bonnet(n_max, x):
+    """P_0..P_{n_max} at x, one fresh array per degree, in the expression form."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    yield cur
+    for k in range(n_max):
+        prev, cur = cur, ((2 * k + 1) * (x * cur) - k * prev) / (k + 1)
+        yield cur
+
+
+def _upper_tile_sums(pts, n_max):
+    """S_0..S_{n_max} in the Gram route's summation order: per block of
+    PAIR_ROWS rows, block_sum of the diagonal tile plus twice block_sum of the
+    tile to its right (none in the last block), blocks merged by
+    neumaier_sum."""
+    rows = pts.points
+    n = len(rows)
+    partials = []
+    for i0 in range(0, n, discrepancy.PAIR_ROWS):
+        i1 = min(i0 + discrepancy.PAIR_ROWS, n)
+        t = _explicit_dots(rows[i0:], rows[i0:i1])
+        np.fill_diagonal(t, 1.0)
+        b = i1 - i0
+        sums = []
+        for p in _bonnet(n_max, t):
+            sums.append(block_sum(p[:b]) + 2.0 * block_sum(p[b:]) if i1 < n else block_sum(p))
+        partials.append(sums)
+    return np.array([neumaier_sum(d) for d in zip(*partials)])
+
+
+@pytest.mark.parametrize("n_points", [63, 64, 65, 300])
 def test_blocked_gram_sums_equal_one_shot_block_sums(n_points):
-    # 1, 2 and 6 blocks of summation.BLOCK dots; the one-shot reference keeps
-    # the whole N^2 recurrence in memory
+    # one block, one block exactly full, a last block of one row, five blocks
     pts = random_points(n_points, 70 + n_points)
-    t = pair_dot_matrix(pts).ravel()
+    t = _gram(pts)
+    eps = np.finfo(float).eps
     for n_max in (1, 40, 301):
-        want = [block_sum(p) for p in derivative_recurrence(n_max, 0, t)]
         got = discrepancy._power_sums_gram(pts, n_max)
-        assert got.tolist() == want
-        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        _assert_same_bytes(got, _upper_tile_sums(pts, n_max))
+    # against the exact sum of the same values over both triangles: a
+    # pairwise sum of n^2 terms is off by at most (16 + log2 n^2) eps sum |P_n|
+    # (numpy's leaves add 16 terms in sequence); lower n_max give prefixes
+    for k, p in enumerate(_bonnet(n_max, t)):
+        bound = (16 + math.log2(n_points**2)) * eps * np.sum(np.abs(p))
+        assert abs(got[k] - math.fsum(p.ravel().tolist())) <= bound
 
 
 @pytest.mark.parametrize("n_points", [4, 15, 86, 151, 400])
@@ -323,6 +362,8 @@ def test_series_matches_derivative_stack_oracle(n_points):
     pts = random_points(n_points, 60 + n_points)
     for n_max in (30, 90, 300):
         sums = _stack_sums(pts, n_max, discrepancy.M_SERIES_MAX)
+        gram_route = n_max >= n_points
+        upper_sums = _upper_tile_sums(pts, n_max)[None, :] if gram_route else None
         for m in range(discrepancy.M_SERIES_MAX + 1):
             for family, s in SERIES_FAMILIES:
                 value, tail, flags = _series_oracle(sums, n_points, family, m, s)
@@ -332,9 +373,10 @@ def test_series_matches_derivative_stack_oracle(n_points):
                 assert report.flags == flags
                 if m == 0:  # every family here has positive symbols
                     assert "negative_sum" not in flags
-                if m == 0 and n_max >= n_points:
-                    # the Gram route at m = 0 is the oracle's arithmetic
-                    assert (report.value, report.tail_estimate) == (value, tail)
+                if m == 0 and gram_route:
+                    # the Gram route at m = 0 is the upper-tile oracle's arithmetic
+                    upper = _series_oracle(upper_sums, n_points, family, 0, s)
+                    assert (report.value, report.tail_estimate, report.flags) == upper
 
 
 def test_an_overflowing_kernel_sum_raises_instead_of_scoring_zero(monkeypatch):
@@ -490,6 +532,16 @@ def test_spectral_sums_hold_a_few_blocks_of_orders(n_points):
     bound = 8 * (8 * rows * n_points + 4 * (n_max + 1) ** 2)
     assert _traced_peak(lambda: discrepancy._power_sums_spectral(pts, n_max)) <= bound
     assert _traced_peak(lambda: _spectral_sums_by_degree(pts, n_max)) > bound
+
+
+def test_gram_sums_hold_a_few_row_blocks_of_dots():
+    # the tile buffer, the recurrence's three tile-sized buffers and the block
+    # partials (1.3 MB measured), where the N^2 dot matrix alone is 2.9 MB
+    n_points, n_max = 600, 1001
+    pts = random_points(n_points, 5)
+    bound = 8 * 5 * discrepancy.PAIR_ROWS * n_points
+    assert bound < 8 * n_points**2
+    assert _traced_peak(lambda: discrepancy._power_sums_gram(pts, n_max)) <= bound
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

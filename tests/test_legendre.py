@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sphereq import kernels, legendre
 from sphereq.errors import CapabilityError, ConditioningError, DomainError
 from sphereq.kernels import kernel_series_eval
 from sphereq.legendre import (
@@ -246,3 +247,45 @@ def test_a_derivative_near_the_float_range_is_still_returned():
     assert legendre_derivative_eval(400, 100, 0.9).hex() == "0x1.87da64b064cefp+978"
     series = kernel_series_eval("pycke", 100, 0.9, 400)
     assert math.isfinite(series.value) and math.isfinite(series.tail_estimate)
+
+
+def _expression_recurrence(n_max, m, x):
+    """derivative_recurrence in its expression form, one fresh array per degree."""
+    x = np.asarray(x, dtype=float)
+    prev = np.zeros_like(x)
+    for _ in range(min(m, n_max + 1)):
+        yield prev
+    if m > n_max:
+        return
+    cur = np.full_like(x, math.prod(range(1, 2 * m, 2), start=1.0))
+    yield cur
+    for k in range(m, n_max):
+        prev, cur = cur, ((2 * k + 1) * (x * cur) - (k + m) * prev) / (k - m + 1)
+        yield cur
+
+
+@pytest.mark.parametrize("shape", [(203,), (7, 29)])
+@pytest.mark.parametrize("m", range(5))
+def test_the_in_place_recurrence_keeps_the_expression_bytes(m, shape, monkeypatch):
+    x = np.random.default_rng(m).uniform(-1.0, 1.0, 203)
+    x[:4] = (-1.0, -0.0, 0.0, 1.0)
+    x = x.reshape(shape)
+    n_max = 300
+    got = [p.copy() for p in derivative_recurrence(n_max, m, x)]
+    want = list(_expression_recurrence(n_max, m, x))
+    assert len(got) == len(want) == n_max + 1
+    for g, w in zip(got, want):
+        assert g.shape == shape and g.tobytes() == w.tobytes()
+
+    def consumers():
+        return [
+            legendre_derivative_eval(n_max, m, x),
+            *kernel_series_eval("pycke", m, x, n_max),
+            *kernel_series_eval("cui-freeden", m, x, n_max),
+        ]
+
+    fast = consumers()
+    monkeypatch.setattr(legendre, "derivative_recurrence", _expression_recurrence)
+    monkeypatch.setattr(kernels, "derivative_recurrence", _expression_recurrence)
+    for g, w in zip(fast, consumers()):
+        assert g.tobytes() == w.tobytes()

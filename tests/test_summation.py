@@ -2,10 +2,12 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from sphereq import discrepancy, pointgen
 from sphereq.discrepancy import WeightedMeasure
 from sphereq.kernels import KernelSpec
+from sphereq.summation import BLOCK, block_sum, neumaier_sum
 
 PAIR_CASES = ((KernelSpec("cui-freeden"), "include"), (KernelSpec("pycke"), "exclude"))
 
@@ -48,3 +50,27 @@ def test_concurrent_callers_get_the_serial_bytes():
     assert not any(t.is_alive() for t in threads)
     assert got == [[expect] * 3, [expect] * 3]
     assert threading.active_count() == started
+
+
+def _np_sum_block_sum(arr):
+    """block_sum as it was formed with the np.sum wrapper."""
+    flat = np.ascontiguousarray(arr, dtype=float).ravel()
+    if flat.size <= BLOCK:
+        return float(np.sum(flat))
+    return neumaier_sum([np.sum(flat[i : i + BLOCK]) for i in range(0, flat.size, BLOCK)])
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK, BLOCK + 1])
+def test_block_sum_keeps_the_np_sum_bytes(size):
+    rng = np.random.default_rng(size)
+    wide = rng.standard_normal((size, 3))
+    for arr in (
+        rng.standard_normal(size),
+        np.full(size, -0.0),  # a sum of negative zeros is -0.0
+        -np.exp(rng.uniform(-700.0, 700.0, size)),
+        wide[:, 1],  # strided, not contiguous
+        np.asfortranarray(wide),
+        wide.T,
+    ):
+        # float.hex tells the sign of a zero apart, so this compares every bit
+        assert block_sum(arr).hex() == _np_sum_block_sum(arr).hex()
