@@ -10,6 +10,7 @@ are argument errors (exit code 2).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,6 +27,8 @@ from .errors import (
     require,
 )
 from .discrepancy import (
+    EXCLUDE,
+    INCLUDE,
     PointSet,
     mean_pair_discrepancy,
     rms_discrepancy,
@@ -33,7 +36,7 @@ from .discrepancy import (
 )
 from .interpolation import epsilon_sweep, fit_interpolant, franke_eval
 from .kernels import is_singular_at_coincidence, parse_kernel
-from .pointgen import RefineParams, greedy_generate, random_unit_points, riesz_refine
+from .pointgen import GRID_SIZE, RefineParams, greedy_generate, random_unit_points, riesz_refine
 from .sphio import cartesian_to_spherical, csv_text, read_points, read_pointset
 from .sphio import write_pointset, write_text
 from . import tables
@@ -104,13 +107,14 @@ def _cmd_score(args) -> int:
     pts = read_pointset(args.input)
     spec = parse_kernel(args.kernel)
     if args.m:
-        spec = parse_kernel(f"{args.kernel}:d{args.m}")
+        require(spec.m == 0, f"--m {args.m}: the kernel {spec.name} already gives an order")
+        spec = dataclasses.replace(spec, m=args.m)
     if args.nmax:
         report = series_generalized_discrepancy(
             pts, spec.family, m=spec.m, n_max=args.nmax, s=spec.s
         )
     else:
-        policy = "exclude" if is_singular_at_coincidence(spec) else "include"
+        policy = EXCLUDE if is_singular_at_coincidence(spec) else INCLUDE
         if args.method == "mean":
             report = mean_pair_discrepancy(pts, spec, policy)
         else:
@@ -185,18 +189,23 @@ def build_parser() -> argparse.ArgumentParser:
         "discrepancy scoring, interpolation, benchmark tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    refine = RefineParams()
+
+    def seed_panel(p, seeds):
+        text = ",".join(map(str, seeds))
+        p.add_argument("--seed", default=text, help="comma-separated seed panel")
 
     def common_gen(p):
         p.add_argument("--kernel", default="pycke", help="kernel name, e.g. pycke:d1")
         p.add_argument("--n", type=int, default=100)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--grid", type=int, default=8192, help="argmin grid size")
+        p.add_argument("--grid", type=int, default=GRID_SIZE, help="argmin grid size")
 
     def refine_flags(p):
-        p.add_argument("--knn", type=int, default=12)
-        p.add_argument("--iters", type=int, default=200)
-        p.add_argument("--riesz-s", type=float, default=1.0)
-        p.add_argument("--offset", type=float, default=19.0)
+        p.add_argument("--knn", type=int, default=refine.k_neighbors)
+        p.add_argument("--iters", type=int, default=refine.iterations)
+        p.add_argument("--riesz-s", type=float, default=refine.riesz_s)
+        p.add_argument("--offset", type=float, default=refine.offset)
 
     p = sub.add_parser("generate", help="greedy node generation")
     common_gen(p)
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="centers CSV (default: greedy nodes)")
         p.add_argument("--n", type=int, default=1000)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--grid", type=int, default=8192)
+        p.add_argument("--grid", type=int, default=GRID_SIZE)
         p.add_argument("--kernel", default="cui-freeden")
         p.add_argument("--sigma", type=float, default=0.0)
         p.add_argument("--degree", type=int, default=1)
@@ -242,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("table1", help="greedy node-set benchmark table")
-    p.add_argument("--seed", default="42,43,44", help="comma-separated seed panel")
-    p.add_argument("--grid", type=int, default=8192)
+    seed_panel(p, tables.DEFAULT_TABLE1_SEEDS)
+    p.add_argument("--grid", type=int, default=GRID_SIZE)
     p.add_argument("--nmax", type=int, default=tables.TABLE1_NMAX)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="refined node-set benchmark table")
-    p.add_argument("--seed", default="1,2,3,4,5", help="comma-separated seed panel")
+    seed_panel(p, tables.DEFAULT_TABLE2_SEEDS)
     refine_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_table2)

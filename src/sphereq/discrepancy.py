@@ -323,7 +323,9 @@ def _power_sums_spectral(pts: PointSet, n_max: int) -> np.ndarray:
     sin_theta = np.hypot(p[:, 0], p[:, 1])
     phi = np.arctan2(p[:, 1], p[:, 0])
     rows = min(_order_rows(len(pts)), n_max + 1)
-    cos_k, sin_k, prev2, prev1, work = np.empty((5, rows, z.size))
+    # trig holds cos k phi over sin k phi, work their products with R_n^k
+    trig, work, (prev2, prev1) = np.empty((3, 2, rows, z.size))
+    cos_k, sin_k = trig
     table = np.zeros((n_max + 1, n_max + 1))
     coef = [None]  # degree n: the recurrence's (a, b) columns for the orders k < n
     for n in range(1, n_max + 1):
@@ -345,7 +347,7 @@ def _power_sums_spectral(pts: PointSet, n_max: int) -> np.ndarray:
             cur = prev2  # R_{n-2} is dead after this step; reuse its buffer
             lo = min(n, k1) - k0  # rows k0..n-1 recur from the degrees below
             a, b = coef[n]
-            t = np.multiply(a[k0 : k0 + lo], z, out=work[:lo])
+            t = np.multiply(a[k0 : k0 + lo], z, out=work[0, :lo])
             t *= prev1[:lo]
             np.multiply(b[k0 : k0 + lo], prev2[:lo], out=cur[:lo])
             np.subtract(t, cur[:lo], out=cur[:lo])
@@ -353,8 +355,7 @@ def _power_sums_spectral(pts: PointSet, n_max: int) -> np.ndarray:
                 c_n = 1.0 if n == 1 else math.sqrt((2 * n - 1) / (2 * n))
                 cur[lo] = np.multiply(c_n * sin_theta, sectoral, out=sectoral)
             act = min(n + 1, k1) - k0
-            re = np.sum(np.multiply(cur[:act], cos_k[:act], out=work[:act]), axis=1)
-            im = np.sum(np.multiply(cur[:act], sin_k[:act], out=work[:act]), axis=1)
+            re, im = np.sum(np.multiply(cur[:act], trig[:, :act], out=work[:, :act]), axis=2)
             table[n, k0 : k0 + act] = re * re + im * im
             prev2, prev1 = prev1, cur
     sums = np.array([np.sum(table[n, : n + 1]) for n in range(n_max + 1)])

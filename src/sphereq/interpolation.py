@@ -87,12 +87,12 @@ def monomial_basis(points, degree: int) -> np.ndarray:
 
 
 def _chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sqrt(max(0, 2 - 2 clip(a b^T, -1, 1))), every op in the product's buffer."""
+    """sqrt(2 - 2 clip(a b^T, -1, 1)), every op in the product's buffer; after
+    the clip, 2 - 2t is never below +0."""
     t = a @ b.T
     np.clip(t, -1.0, 1.0, out=t)
     np.multiply(2.0, t, out=t)
     np.subtract(2.0, t, out=t)
-    np.maximum(0.0, t, out=t)
     return np.sqrt(t, out=t)
 
 
@@ -134,12 +134,6 @@ def _checked_y(centers, y, epsilon, sigma) -> np.ndarray:
     require(y.size == len(centers), "one observation per center required")
     require(np.isfinite(y), "observations must be finite")
     return y
-
-
-def _geometry(centers, poly_degree):
-    """Chordal distances and monomial block; neither depends on epsilon."""
-    p = monomial_basis(centers, poly_degree)
-    return _distances(centers), p
 
 
 def _distances(centers):
@@ -195,7 +189,8 @@ def fit_interpolant(
 ) -> InterpolantModel:
     """Solve the saddle system for the kernel and tail coefficients, as LOOCV does."""
     y = _checked_y(centers, y, epsilon, sigma)
-    g = _saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma)
+    p = monomial_basis(centers, poly_degree)
+    g = _saddle(_distances(centers), p, spec, epsilon, sigma)
     coeff = _factor_solve(g, y)[0]
     n = len(centers)
     return InterpolantModel(centers=centers, values=y, spec=spec, epsilon=epsilon, sigma=sigma,
@@ -331,7 +326,8 @@ def loocv_errors_fast(
 ) -> np.ndarray:
     """Leave-one-out errors from one factorization: e_v = c_v / (G^{-1})_vv."""
     y = _checked_y(centers, y, epsilon, sigma)
-    return _loocv(_saddle(*_geometry(centers, poly_degree), spec, epsilon, sigma), y)
+    p = monomial_basis(centers, poly_degree)
+    return _loocv(_saddle(_distances(centers), p, spec, epsilon, sigma), y)
 
 
 @dataclass

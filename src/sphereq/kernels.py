@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -105,7 +105,7 @@ class KernelSpec:
         return ":".join(parts)
 
     def with_convention(self, convention: str) -> "KernelSpec":
-        return KernelSpec(self.family, self.m, self.s, convention, self.shifted)
+        return replace(self, convention=convention)
 
 
 def _exponent_text(s: float) -> str:  # the :g form where it parses back to s, else repr
@@ -119,16 +119,17 @@ def parse_kernel(name: str) -> KernelSpec:
     family = parts[0]
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
-    m = 0
-    s = None
+    m = s = None
     for part in parts[1:]:
         if part.startswith("d") and part[1:].isdigit():
+            require(m is None, f"kernel name {name!r} gives the order twice")
             m = int(part[1:])
         elif part.startswith("s="):
+            require(s is None, f"kernel name {name!r} gives the exponent twice")
             s = float(part[2:])
         else:
             raise DomainError(f"unrecognized kernel suffix {part!r}")
-    return KernelSpec(family, m=m, s=s)
+    return KernelSpec(family, m=m or 0, s=s)
 
 
 def kernel_derivative(spec: KernelSpec) -> KernelSpec:
@@ -138,7 +139,7 @@ def kernel_derivative(spec: KernelSpec) -> KernelSpec:
             f"closed-form derivatives supported up to order {M_CLOSED_MAX}; "
             "use the truncated series beyond that"
         )
-    return KernelSpec(spec.family, spec.m + 1, spec.s, spec.convention, spec.shifted)
+    return replace(spec, m=spec.m + 1)
 
 
 def is_singular_at_coincidence(spec: KernelSpec) -> bool:
@@ -239,7 +240,8 @@ def _cf(m: int, order: int):
 def _arc(family: str, m: int):  # gine and ajne on uc = min(u, 1); a derivative refuses t = -1
     def chain(u, v):
         if m and (u >= 1.0).any():
-            raise SingularKernelError(f"{family}:d{m}", "derivative is singular at t = -1")
+            name = KernelSpec(family, m).name
+            raise SingularKernelError(name, "derivative is singular at t = -1")
         uc = np.minimum(u, 1.0, out=v)
         if family == "ajne" and m == 0:
             np.arcsin(uc, out=uc)  # 1/4 - arcsin(uc) / pi

@@ -64,6 +64,9 @@ _KNN_SLACK = 1e-10
 #: The Riesz descent recomputes its neighbors every KNN_REFRESH iterations.
 KNN_REFRESH = 10
 
+#: Default size of the greedy argmin's candidate grid.
+GRID_SIZE = 8192
+
 _POINT_COUNT = "point count must be a positive integer"
 
 
@@ -306,9 +309,7 @@ def _greedy(given: np.ndarray, n: int, spec: KernelSpec, grid: CandidateGrid) ->
     return out
 
 
-def greedy_generate(
-    n: int, spec: KernelSpec, seed: int, grid_size: int = 8192
-) -> PointSet:
+def greedy_generate(n: int, spec: KernelSpec, seed: int, grid_size: int = GRID_SIZE) -> PointSet:
     """Greedy sequence: seeded first node, then n-1 sequential argmin steps.
 
     Grid kernel sums are maintained incrementally, so the whole run costs
@@ -428,15 +429,6 @@ def _knn_rank(
     return np.take_along_axis(near, order, axis=1), kth
 
 
-def _squared_norms(v: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(v0 v0 + v1 v1) + v2 v2 of the component-major ``v`` into ``out``,
-    with ``sq``, shaped as ``v``, for the squares."""
-    np.multiply(v, v, out=sq)
-    np.add(sq[0], sq[1], out=out)
-    out += sq[2]
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the step mask and checks catch these
 def riesz_refine(
     pts: PointSet, params: RefineParams, history: bool = True
@@ -481,10 +473,9 @@ def riesz_refine(
             neighbors = _knn(x, k).T.copy()
         np.take(x, neighbors, axis=1, out=diff, mode="wrap")  # in range: no bounds buffer
         np.subtract(x[:, None, :], diff, out=diff)  # x_i - x_j, component by component
-        np.sqrt(_squared_norms(diff, prod, dist), out=dist)
+        np.sqrt(np.add.reduce(np.multiply(diff, diff, out=prod), axis=0, out=dist), out=dist)
         np.min(dist, axis=0, out=delta)
-        w[...] = dist
-        w **= e  # the operator, so w holds the bits of dist ** e
+        np.power(dist, e, out=w)
         if not w.all():
             i = int(np.flatnonzero(~w.all(axis=0))[0])
             nearest = np.flatnonzero(w[:, i] == 0.0)[0]
@@ -496,7 +487,7 @@ def riesz_refine(
         np.divide(diff, w, out=prod)
         np.sum(prod, axis=1, out=g)  # in neighbor order
         g *= s
-        np.sqrt(_squared_norms(g, sq, norm), out=norm)
+        np.sqrt(np.add.reduce(np.multiply(g, g, out=sq), axis=0, out=norm), out=norm)
         ok = (norm > 0.0) & np.isfinite(norm)
         np.divide(delta, t + params.offset, out=step)
         np.divide(step, norm, out=step, where=ok)
@@ -505,7 +496,7 @@ def riesz_refine(
             raise DomainError(f"step at iteration {t} is not finite with offset {params.offset!r}")
         g *= step
         x += g
-        _squared_norms(x, sq, norm)
+        np.add.reduce(np.multiply(x, x, out=sq), axis=0, out=norm)
         if not np.isfinite(norm).all():  # an overflowed repulsion times a zero step
             raise DomainError(f"repulsion at iteration {t} overflows with riesz_s {s!r}")
         x /= np.sqrt(norm, out=norm)

@@ -30,7 +30,7 @@ from .discrepancy import (
     series_generalized_discrepancy,
 )
 from .kernels import KernelSpec, kernel_uniform_mean
-from .pointgen import RefineParams, greedy_generate, random_unit_points, riesz_refine
+from .pointgen import GRID_SIZE, RefineParams, greedy_generate, random_unit_points, riesz_refine
 from .sphio import csv_text
 
 #: Node counts of both benchmark tables.
@@ -91,7 +91,7 @@ def centered_pair_discrepancy(pts: PointSet, spec: KernelSpec) -> float:
 
 def run_table1(
     seeds=DEFAULT_TABLE1_SEEDS,
-    grid_size: int = 8192,
+    grid_size: int = GRID_SIZE,
     n_list=TABLE_N,
     n_max: int = TABLE1_NMAX,
 ) -> list[tuple[int, str, float]]:

@@ -523,7 +523,7 @@ def _traced_peak(call) -> int:
 
 @pytest.mark.parametrize("n_points", [998, 4000])
 def test_spectral_sums_hold_a_few_blocks_of_orders(n_points):
-    # five (rows, N) buffers, the (n_max + 1)^2 table and the recurrence
+    # six (rows, N) buffers, the (n_max + 1)^2 table and the recurrence
     # coefficients, where the degree-by-degree form held about seven
     # (n_max + 1, N) arrays (4.9 and 19.5 MB here)
     n_max = 90

@@ -283,7 +283,8 @@ def test_loocv_fast_matches_explicit_inverse_at_the_sweep_size(epsilon):
     # tail rows trade places with kernel rows far up the matrix
     p = fibonacci_lattice(1000, seed=5)
     y = franke_eval(p)
-    g = interpolation._saddle(*interpolation._geometry(PointSet(p), 1), CF, epsilon, 0.1)
+    r = interpolation._distances(PointSet(p))
+    g = interpolation._saddle(r, interpolation.monomial_basis(p, 1), CF, epsilon, 0.1)
     ipiv = lapack.dsytrf(g)[1]
     assert np.any(ipiv < 0) and np.min(np.abs(ipiv)) < 400
     fast = loocv_errors_fast(PointSet(p), y, CF, epsilon, 0.1, 1)
@@ -364,9 +365,9 @@ def test_fit_matches_scipy_symmetric_solve_bit_for_bit(name):
             y = franke_eval(pts.points)
             for degree in (-1, 0, 1):
                 model = fit_interpolant(pts, y, spec, 1.5, sigma, degree)
-                g = interpolation._saddle(
-                    *interpolation._geometry(pts, degree), spec, 1.5, sigma
-                )
+                r = interpolation._distances(pts)
+                p = interpolation.monomial_basis(pts, degree)
+                g = interpolation._saddle(r, p, spec, 1.5, sigma)
                 rhs = np.concatenate([y, np.zeros(g.shape[0] - n)])
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
@@ -452,7 +453,8 @@ def _saddle_oracle(r, p, spec, epsilon, sigma):
 @pytest.mark.parametrize("degree", [-1, 0, 1])
 def test_saddle_is_bit_identical_to_a_kernel_eval_of_eps_r(name, sigma, degree):
     spec = parse_kernel(name)
-    r, p = interpolation._geometry(random_unit_points(90, seed=26), degree)
+    pts = random_unit_points(90, seed=26)
+    r, p = interpolation._distances(pts), interpolation.monomial_basis(pts, degree)
     for eps in (0.5, 1.0, 3.0, 6.0, 0.37):
         g = interpolation._saddle(r, p, spec, eps, sigma)
         assert g.tobytes() == _saddle_oracle(r, p, spec, eps, sigma).tobytes()
@@ -470,7 +472,7 @@ def test_saddle_tail_rows_keep_the_derivative_error_and_bytes(name, antipodal):
     pts = random_unit_points(40, seed=31).points
     if antipodal:
         pts = np.vstack([pts[:39], -pts[:1]])
-    r, p = interpolation._geometry(PointSet(pts), 1)
+    r, p = interpolation._distances(PointSet(pts)), interpolation.monomial_basis(pts, 1)
     outcomes = []
     for eps in (0.5, 1.0, 2.0):
         try:
@@ -537,9 +539,9 @@ def test_in_place_distances_and_evaluation_equal_the_expression_bit_for_bit(n):
 def test_lapack_inf_norm_equals_numpys_on_every_saddle(n, sigma, degree, seed, planted):
     # _factor_solve feeds dlange's norm to dsycon; it must add the same numbers
     # in the same order as numpy's inf-norm
-    g = interpolation._saddle(
-        *interpolation._geometry(random_unit_points(n, seed=seed), degree), CF, 1.5, sigma
-    )
+    pts = random_unit_points(n, seed=seed)
+    r, p = interpolation._distances(pts), interpolation.monomial_basis(pts, degree)
+    g = interpolation._saddle(r, p, CF, 1.5, sigma)
     for k, value in enumerate(planted):
         g[(seed + k) % n, (seed // n + 3 * k) % g.shape[1]] = value
     want = np.linalg.norm(g, np.inf)

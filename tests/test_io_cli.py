@@ -19,7 +19,7 @@ from sphereq.cli import main
 from sphereq.errors import DomainError, PointSetFormatError, PointSetValidationError
 from sphereq.discrepancy import PointSet
 from sphereq.interpolation import SweepReport
-from sphereq.pointgen import random_unit_points
+from sphereq.pointgen import RefineParams, random_unit_points
 from sphereq.sphio import (
     cartesian_to_spherical,
     read_pointset,
@@ -58,6 +58,11 @@ def test_cartesian_to_spherical_pole_convention():
     theta, phi = cartesian_to_spherical(np.array([1.0, 0.0, 0.0]))
     assert theta == pytest.approx(math.pi / 2)
     assert phi == 0.0
+
+
+def test_cartesian_to_spherical_wraps_an_azimuth_that_rounds_to_two_pi():
+    # atan2 gives -1e-300, and adding 2 pi rounds to exactly 2 pi
+    assert cartesian_to_spherical(np.array([1.0, -1e-300, 0.0])) == (math.pi / 2, 0.0)
 
 
 def test_cartesian_to_spherical_rejects_non_unit():
@@ -379,6 +384,46 @@ def test_cli_tables_reject_a_malformed_seed_list(table, seeds, tmp_path, capsys)
     assert main([table, "--seed", seeds, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: seed list")
     assert not out.exists()
+
+
+def test_cli_table1_writes_the_rows_of_run_table1(tmp_path):
+    out = tmp_path / "table1.csv"
+    assert main(["table1", "--seed", "42", "--grid", "256", "--nmax", "8", "--out", str(out)]) == 0
+    rows = tables.run_table1(seeds=[42], grid_size=256, n_max=8)
+    assert len(rows) == 27
+    assert out.read_text() == tables.rows_to_csv(rows)
+
+
+def test_cli_table2_writes_the_rows_of_run_table2(tmp_path):
+    out = tmp_path / "table2.csv"
+    assert main(["table2", "--seed", "1", "--iters", "2", "--out", str(out)]) == 0
+    rows = tables.run_table2(seeds=[1], params=RefineParams(iterations=2))
+    assert len(rows) == 27
+    assert out.read_text() == tables.rows_to_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "name, m, named",
+    [("pycke", "1", "pycke:d1"), ("riesz:s=1", "2", "riesz:s=1:d2"), ("gine:d1", "0", "gine:d1")],
+)
+@pytest.mark.parametrize("nmax", ["0", "20"])
+def test_cli_score_m_is_the_order_of_the_kernel_name(name, m, named, nmax, tmp_path, capsys):
+    pts_path = tmp_path / "pts.csv"
+    write_pointset(pts_path, random_unit_points(30, seed=2))
+    assert main(["score", str(pts_path), "--kernel", name, "--m", m, "--nmax", nmax]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["score", str(pts_path), "--kernel", named, "--nmax", nmax]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+@pytest.mark.parametrize("name", ["pycke:d2", "riesz:s=1:d1"])
+def test_cli_score_refuses_m_beside_an_order_in_the_name(name, tmp_path, capsys):
+    pts_path = tmp_path / "pts.csv"
+    write_pointset(pts_path, random_unit_points(30, seed=2))
+    assert main(["score", str(pts_path), "--kernel", name, "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --m 1: the kernel")
 
 
 @pytest.mark.parametrize(

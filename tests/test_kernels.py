@@ -260,6 +260,22 @@ def test_kernel_name_round_trip():
             assert parse_kernel(spec.name) == spec.with_convention(DOT_PRODUCT)
 
 
+@pytest.mark.parametrize(
+    "name, part",
+    [("pycke:d1:d2", "order"), ("pycke:d0:d0", "order"), ("riesz:s=1:d1:d1", "order"),
+     ("riesz:s=1:s=2", "exponent"), ("riesz:s=1:d1:s=1", "exponent")],
+)
+def test_a_kernel_name_gives_each_part_once(name, part):
+    with pytest.raises(DomainError, match=f"gives the {part} twice"):
+        parse_kernel(name)
+
+
+def test_derived_specs_keep_every_other_field():
+    spec = KernelSpec("riesz", m=1, s=0.5, convention=CHORDAL, shifted=True)
+    assert spec.with_convention(DOT_PRODUCT) == KernelSpec("riesz", 1, 0.5, DOT_PRODUCT, True)
+    assert kernel_derivative(spec) == KernelSpec("riesz", 2, 0.5, CHORDAL, True)
+
+
 def test_uniform_means():
     assert kernel_uniform_mean(CF) == 0.0
     assert kernel_uniform_mean(PYCKE) == 0.0
@@ -280,7 +296,8 @@ def test_uniform_means_match_quadrature():
     from scipy.integrate import quad
 
     for spec in (CF, KernelSpec("cui-freeden", m=1), KernelSpec("cui-freeden", m=2),
-                 KernelSpec("riesz", s=1.0), KernelSpec("gine"), KernelSpec("ajne")):
+                 KernelSpec("riesz", s=1.0), KernelSpec("gine"), KernelSpec("ajne"),
+                 KernelSpec("gine", m=1), KernelSpec("ajne", m=1), PYCKE):
         val, _ = quad(lambda t: kernel_eval(spec, t), -1.0, 1.0,
                       points=[1.0], limit=300)
         assert 0.5 * val == pytest.approx(kernel_uniform_mean(spec), abs=1e-9)

@@ -288,6 +288,11 @@ def test_polish_passes_over_one_trial_on_a_node(name):
     assert np.array_equal(out, _polish_oracle(eta, nodes, spec, 0.5))
 
 
+def test_newton_step_refuses_a_step_that_overflows():
+    # H is finite and positive definite (det = 1e-300), but d_a = -1e450
+    assert pointgen._newton_step(1e300, 1e-150, 0.0, 1e-150, 1.0) is None
+
+
 def test_polish_halves_a_refused_newton_step_along_itself():
     # eta = e_z, with 23 copies of a node on the +x side and two pairs at
     # +-y, mirror images across y = 0: the gradient is exactly +x and the
