@@ -23,7 +23,9 @@ Three generators:
   the dot contraction of the pair sums (see :func:`_knn`).
 
 Everything is deterministic for a fixed seed, and everything runs on the
-calling thread; per-iteration updates read only the previous iterate.  The
+calling thread, but for one helper process that a long refine forks to sum
+every other history row (see :func:`riesz_refine`); per-iteration updates
+read only the previous iterate.  The
 polish and the grid update hold their nodes or the grid component-major,
 take their dots from the clipped-dot helper of the pair sums (one trial or
 node against them all), form the half-chords in place as
@@ -36,6 +38,7 @@ its values bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +66,12 @@ _KNN_SLACK = 1e-10
 
 #: The Riesz descent recomputes its neighbors every KNN_REFRESH iterations.
 KNN_REFRESH = 10
+
+#: Least iterations x N^2 at which a refine's history forks a helper
+#: process to sum every other row.  A fork and the helper's exit cost about
+#: 2 ms, the pair sum about 3.4 ns for each of the N^2 pairs, and the
+#: helper takes half of them: below about 2e6 the fork costs what it saves.
+HISTORY_FORK_WORK = 4_000_000
 
 #: Default size of the greedy argmin's candidate grid.
 GRID_SIZE = 8192
@@ -429,6 +438,101 @@ def _knn_rank(
     return np.take_along_axis(near, order, axis=1), kth
 
 
+class _History:
+    """The history rows of a refine, each ``_pair_kernel_sum(x, cf, INCLUDE)
+    / N^2`` of one iterate x, for ``with``.
+
+    With os.fork and at least HISTORY_FORK_WORK of work, a forked helper
+    sums the odd rows: the parent writes each odd iterate's 24N bytes down
+    a pipe and goes on, the helper reads them into a (3, N) buffer of the
+    parent's layout, and it sends its values back once that pipe closes.
+    The pipe's buffer bounds the iterates in flight.  The exit reaps the
+    helper, killing it first if its values were not read, and closes the
+    pipes.
+    """
+
+    def __init__(self, n: int, rows: int):
+        self.n, self.inline, self.sent, self.pid, self.fds = n, [], 0, None, set()
+        if rows * n * n < HISTORY_FORK_WORK or not hasattr(os, "fork"):
+            return
+        down_r, self.down, self.up, up_w = pipes = (*os.pipe(), *os.pipe())
+        self.fds.update(pipes)
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to be had: every row inline
+            self._close(*pipes)
+            return
+        if self.pid == 0:
+            self._serve(down_r, up_w)
+        self._close(down_r, up_w)
+
+    def __enter__(self) -> "_History":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pid is not None:  # the refine raised
+            import signal  # here, not at the top: it is a millisecond of every import
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        self._close(*list(self.fds))
+
+    def add(self, t: int, x: np.ndarray) -> None:
+        """Sum the row of iteration t, or hand the C-contiguous (3, N)
+        iterate x to the helper."""
+        if self.pid is None or t % 2 == 0:
+            self.inline.append(self._score(x))
+            return
+        data = memoryview(x).cast("B")
+        try:
+            while data:
+                data = data[os.write(self.down, data):]
+        except BrokenPipeError:
+            raise _lost("closed its pipe") from None
+        self.sent += 1
+
+    def rows(self) -> list[float]:
+        """Every row, in iteration order."""
+        if self.pid is None:
+            return self.inline
+        self._close(self.down)
+        with open(self.up, "rb", closefd=False) as up:
+            reply = up.read()
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        if status or len(reply) != 8 * self.sent:
+            raise _lost(f"sent {len(reply)} of {8 * self.sent} bytes, wait status {status}")
+        helped, inline = iter(np.frombuffer(reply).tolist()), iter(self.inline)
+        return [next(helped if t % 2 else inline) for t in range(len(self.inline) + self.sent)]
+
+    def _serve(self, down_r: int, up_w: int) -> None:
+        """The helper's whole life.  It leaves by os._exit, so it flushes
+        none of the parent's stdio and runs none of its atexit hooks."""
+        status = 1
+        try:
+            self._close(self.down, self.up)
+            with open(down_r, "rb") as down, open(up_w, "wb") as up:
+                x, values = np.empty((3, self.n)), []
+                while down.readinto(x) == x.nbytes:
+                    values.append(self._score(x))
+                up.write(np.array(values).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _score(self, x: np.ndarray) -> float:
+        return _pair_kernel_sum(x, KernelSpec("cui-freeden"), INCLUDE) / self.n**2
+
+    def _close(self, *fds: int) -> None:
+        for fd in fds:
+            self.fds.discard(fd)
+            os.close(fd)
+
+
+def _lost(what: str) -> RuntimeError:
+    return RuntimeError(f"the refine's history helper process {what}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the step mask and checks catch these
 def riesz_refine(
     pts: PointSet, params: RefineParams, history: bool = True
@@ -454,7 +558,17 @@ def riesz_refine(
 
     The history holds, per iteration, the bounded-kernel (cui-freeden)
     mean-pair score of the iterate; ``history=False`` skips it and returns
-    an empty list.
+    an empty list.  Where ``os.fork`` exists and iterations x N^2 is at
+    least HISTORY_FORK_WORK, one forked helper process sums the odd rows
+    beside the descent: the parent writes each odd iterate's bytes down a
+    pipe without waiting and sums the even rows itself.  Each row is the
+    same function of the same bytes, so the history is byte for byte the
+    inline one.  A row cannot fail in the helper: the iterate is finite
+    (the checks above raise first), and the cui-freeden kernel is bounded
+    on the clipped half-chords, so its sum is finite.  The helper is reaped
+    before this returns or raises; if it dies or sends back fewer rows
+    than it was given, this raises ``RuntimeError``.  Without ``os.fork``,
+    or when a fork fails, every row is summed inline.
     """
     x = pts.points.T.copy()  # the iterate, updated in place
     s, e, k, n = params.riesz_s, params.riesz_s + 2.0, params.k_neighbors, len(pts)
@@ -465,42 +579,44 @@ def riesz_refine(
     dist, w = np.empty((k, n)), np.empty((k, n))
     g, sq = np.empty((3, n)), np.empty((3, n))
     delta, norm, step = np.empty(n), np.empty(n), np.empty(n)
-    cf = KernelSpec("cui-freeden")
-    scores: list[float] = []
     neighbors = None
-    for t in range(params.iterations):
-        if t % KNN_REFRESH == 0:
-            neighbors = _knn(x, k).T.copy()
-        np.take(x, neighbors, axis=1, out=diff, mode="wrap")  # in range: no bounds buffer
-        np.subtract(x[:, None, :], diff, out=diff)  # x_i - x_j, component by component
-        np.sqrt(np.add.reduce(np.multiply(diff, diff, out=prod), axis=0, out=dist), out=dist)
-        np.min(dist, axis=0, out=delta)
-        np.power(dist, e, out=w)
-        if not w.all():
-            i = int(np.flatnonzero(~w.all(axis=0))[0])
-            nearest = np.flatnonzero(w[:, i] == 0.0)[0]
-            j = int(neighbors[nearest, i])
-            pair = f"points at indices {min(i, j)} and {max(i, j)}"
-            if dist[nearest, i] == 0.0:
-                raise DomainError(f"coincident {pair}")
-            raise DomainError(f"nearly coincident {pair}: distance^(s+2) underflows to 0")
-        np.divide(diff, w, out=prod)
-        np.sum(prod, axis=1, out=g)  # in neighbor order
-        g *= s
-        np.sqrt(np.add.reduce(np.multiply(g, g, out=sq), axis=0, out=norm), out=norm)
-        ok = (norm > 0.0) & np.isfinite(norm)
-        np.divide(delta, t + params.offset, out=step)
-        np.divide(step, norm, out=step, where=ok)
-        step[~ok] = 0.0
-        if not np.isfinite(step).all():
-            raise DomainError(f"step at iteration {t} is not finite with offset {params.offset!r}")
-        g *= step
-        x += g
-        np.add.reduce(np.multiply(x, x, out=sq), axis=0, out=norm)
-        if not np.isfinite(norm).all():  # an overflowed repulsion times a zero step
-            raise DomainError(f"repulsion at iteration {t} overflows with riesz_s {s!r}")
-        x /= np.sqrt(norm, out=norm)
-        if history:
-            scores.append(_pair_kernel_sum(x, cf, INCLUDE) / n**2)
+    with _History(n, params.iterations if history else 0) as hist:
+        for t in range(params.iterations):
+            if t % KNN_REFRESH == 0:
+                neighbors = _knn(x, k).T.copy()
+            np.take(x, neighbors, axis=1, out=diff, mode="wrap")  # in range: no bounds buffer
+            np.subtract(x[:, None, :], diff, out=diff)  # x_i - x_j, component by component
+            np.sqrt(np.add.reduce(np.multiply(diff, diff, out=prod), axis=0, out=dist), out=dist)
+            np.min(dist, axis=0, out=delta)
+            np.power(dist, e, out=w)
+            if not w.all():
+                i = int(np.flatnonzero(~w.all(axis=0))[0])
+                nearest = np.flatnonzero(w[:, i] == 0.0)[0]
+                j = int(neighbors[nearest, i])
+                pair = f"points at indices {min(i, j)} and {max(i, j)}"
+                if dist[nearest, i] == 0.0:
+                    raise DomainError(f"coincident {pair}")
+                raise DomainError(f"nearly coincident {pair}: distance^(s+2) underflows to 0")
+            np.divide(diff, w, out=prod)
+            np.sum(prod, axis=1, out=g)  # in neighbor order
+            g *= s
+            np.sqrt(np.add.reduce(np.multiply(g, g, out=sq), axis=0, out=norm), out=norm)
+            ok = (norm > 0.0) & np.isfinite(norm)
+            np.divide(delta, t + params.offset, out=step)
+            np.divide(step, norm, out=step, where=ok)
+            step[~ok] = 0.0
+            if not np.isfinite(step).all():
+                raise DomainError(
+                    f"step at iteration {t} is not finite with offset {params.offset!r}"
+                )
+            g *= step
+            x += g
+            np.add.reduce(np.multiply(x, x, out=sq), axis=0, out=norm)
+            if not np.isfinite(norm).all():  # an overflowed repulsion times a zero step
+                raise DomainError(f"repulsion at iteration {t} overflows with riesz_s {s!r}")
+            x /= np.sqrt(norm, out=norm)
+            if history:
+                hist.add(t, x)
+        scores = hist.rows()
     refined = PointSet(x.T, seed=pts.seed, provenance=f"riesz_refine:s={_exponent_text(s)}")
     return refined, scores

@@ -8,6 +8,8 @@ already ignores everything.  A greedy sequence enters the state a fixed
 number of times, however many nodes it places.
 """
 
+import os
+
 import numpy as np
 import pytest
 from numpy._core import _ufunc_config
@@ -66,6 +68,11 @@ def _with_duplicate(pts):
     return PointSet(p)
 
 
+def _refine_p998():
+    # 11 x 998^2 is above pointgen.HISTORY_FORK_WORK: the history helper runs
+    return riesz_refine(P998, RefineParams(k_neighbors=12, iterations=11))
+
+
 MU = WeightedMeasure(P20, np.linspace(-1.0, 1.0, 20))
 
 CALLS = [
@@ -76,7 +83,7 @@ CALLS = [
      ConditioningError),
     ("riesz_refine", lambda: riesz_refine(P20, RefineParams(k_neighbors=3, iterations=3)), None),
     ("riesz_refine", lambda: riesz_refine(_with_duplicate(P20), RefineParams(3, 3)), DomainError),
-    ("riesz_refine", lambda: riesz_refine(P998, RefineParams(k_neighbors=12, iterations=11)), None),
+    ("riesz_refine", _refine_p998, None),
     ("riesz_refine", lambda: riesz_refine(_with_duplicate(P998), RefineParams(12, 3)), DomainError),
     ("knn_indices", lambda: knn_indices(P998, 12), None),
     ("knn_indices", lambda: knn_indices(P998, 998), DomainError),
@@ -123,6 +130,16 @@ def test_the_error_state_is_the_callers_again(outer, name, call, error):
             with pytest.raises(error):
                 call()
         assert np.geterr() == before, name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_the_large_refine_runs_beside_its_history_helper(monkeypatch):
+    # the P998 refine above forks the helper that sums its odd history rows,
+    # so the check above covers a refine with the helper running
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(0) or fork())
+    _refine_p998()
+    assert len(forks) == 1
 
 
 class _CountingVar:

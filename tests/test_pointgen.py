@@ -1,5 +1,8 @@
+import contextlib
+import errno
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -746,17 +749,157 @@ def test_refine_equals_the_point_major_loop(n, k, s):
     assert out.points.tobytes() == _refine_oracle(pts, params).tobytes()
 
 
-def test_refine_at_the_benchmark_size_keeps_its_bytes(monkeypatch):
-    # three k-NN refreshes of many blocks each, and the history, against
-    # the same run on full-matrix neighbors
-    pts = random_unit_points(998, seed=7)
-    params = RefineParams(k_neighbors=12, iterations=21)
+@pytest.mark.parametrize("n, iterations", [(206, 200), (998, 21), (300, 77)])
+def test_refine_at_the_benchmark_size_keeps_its_bytes(n, iterations, monkeypatch):
+    # k-NN refreshes of many blocks each, and a history with a forked helper
+    # summing every other row (an odd count at N=300, so the parent sums the
+    # last row), against the same run on full-matrix neighbors with every
+    # row summed inline
+    assert iterations * n * n >= pointgen.HISTORY_FORK_WORK
+    pts = random_unit_points(n, seed=7)
+    params = RefineParams(k_neighbors=12, iterations=iterations)
+    forks, fork = [], getattr(os, "fork", None)
+    if fork:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(0) or fork())
     out, history = riesz_refine(pts, params)
+    assert len(forks) == bool(fork)
+    monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(pointgen, "_knn", lambda p, k: _knn_oracle(p.T, k))
     expect, expect_history = riesz_refine(pts, params)
     assert out.points.tobytes() == expect.points.tobytes()
-    assert len(history) == 21
+    assert len(history) == iterations
     assert np.array(history).tobytes() == np.array(expect_history).tobytes()
+    assert all(type(h) is float for h in history)
+
+
+# --- the history helper process ----------------------------------------------------
+
+# a refine whose history forks a helper: 21 x 998^2 is above the threshold
+HELPED = (random_unit_points(998, seed=7), RefineParams(iterations=21))
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(*_):  # a hang becomes this error in the test process
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@contextlib.contextmanager
+def _nothing_left():
+    # the block ends within a minute, and no child process, running or
+    # exited, and no file descriptor outlives it
+    fds = _open_fds()
+    with _deadline(60):
+        yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def _after_row(monkeypatch, at, then):
+    # call then(history) right after iteration ``at`` hands over its row
+    add = pointgen._History.add
+
+    def patched(self, t, x):
+        add(self, t, x)
+        if t == at:
+            then(self)
+
+    monkeypatch.setattr(pointgen._History, "add", patched)
+
+
+@needs_fork
+def test_no_helper_outlives_a_refine_that_returns():
+    with _nothing_left():
+        _, history = riesz_refine(*HELPED)
+    assert len(history) == 21
+
+
+@needs_fork
+def test_no_helper_outlives_a_refine_that_raises(monkeypatch):
+    def fail(history):
+        assert history.pid and history.sent == 3  # rows 1, 3 and 5 went to the helper
+        raise DomainError("raised at iteration 5")
+
+    _after_row(monkeypatch, 5, fail)
+    with _nothing_left(), pytest.raises(DomainError, match="iteration 5"):
+        riesz_refine(*HELPED)
+
+
+@needs_fork
+@pytest.mark.parametrize("at, why", [(5, "closed its pipe"), (20, "sent 0 of 80 bytes")])
+def test_a_refine_raises_when_its_helper_dies(at, why, monkeypatch):
+    # killed mid-run, the next iterate meets a pipe with no reader; killed
+    # after the last row, the reply comes up short
+    def kill(history):
+        os.kill(history.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, history.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+
+    _after_row(monkeypatch, at, kill)
+    with _nothing_left(), pytest.raises(RuntimeError, match=why):
+        riesz_refine(*HELPED)
+
+
+@needs_fork
+def test_a_refine_raises_on_a_short_reply(monkeypatch):
+    # a helper that reads every iterate, sends back one row and exits 0
+    def serve(self, down_r, up_w):
+        os.close(self.down)
+        os.close(self.up)
+        with open(down_r, "rb") as down:
+            while down.read(1 << 16):
+                pass
+        os.write(up_w, bytes(8))
+        os._exit(0)
+
+    monkeypatch.setattr(pointgen._History, "_serve", serve)
+    with _nothing_left(), pytest.raises(RuntimeError, match="sent 8 of 80 bytes, wait status 0"):
+        riesz_refine(*HELPED)
+
+
+@needs_fork
+def test_a_refine_sums_inline_when_no_process_can_be_forked(monkeypatch):
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    expect, expect_history = riesz_refine(*HELPED)
+    monkeypatch.setattr(os, "fork", refuse)
+    with _nothing_left():
+        out, history = riesz_refine(*HELPED)
+    assert out.points.tobytes() == expect.points.tobytes()
+    assert np.array(history).tobytes() == np.array(expect_history).tobytes()
+
+
+@needs_fork
+def test_the_helper_flushes_no_stdio_and_runs_no_exit_hook():
+    # stdout is a pipe, so the text written before the refine is still in
+    # its buffer when the helper forks; a helper that flushed it or ran the
+    # exit hook would write it a second time
+    script = (
+        "import atexit, sys; "
+        "from sphereq.pointgen import RefineParams, random_unit_points, riesz_refine; "
+        "atexit.register(sys.stdout.write, 'exit;'); sys.stdout.write('before;'); "
+        "riesz_refine(random_unit_points(998, 7), RefineParams(iterations=21))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "before;exit;", "")
 
 
 def _cap(n, seed, outside, scale, axis):
