@@ -67,11 +67,11 @@ _KNN_SLACK = 1e-10
 #: The Riesz descent recomputes its neighbors every KNN_REFRESH iterations.
 KNN_REFRESH = 10
 
-#: Least iterations x N^2 at which a refine's history forks a helper
-#: process to sum every other row.  A fork and the helper's exit cost about
-#: 2 ms, the pair sum about 3.4 ns for each of the N^2 pairs, and the
-#: helper takes half of them: below about 2e6 the fork costs what it saves.
-HISTORY_FORK_WORK = 4_000_000
+#: Least (iterations // 2) x N^2, the helper's share of a refine's history,
+#: at which the refine forks a helper process to sum every other row.  A
+#: fork and the helper's exit cost about 2 ms and the pair sum about 3.4 ns
+#: for each of the N^2 pairs: below about 1e6 the fork costs what it saves.
+HISTORY_FORK_WORK = 2_000_000
 
 #: Default size of the greedy argmin's candidate grid.
 GRID_SIZE = 8192
@@ -438,22 +438,37 @@ def _knn_rank(
     return np.take_along_axis(near, order, axis=1), kth
 
 
+def _spare_cpu() -> bool:
+    """Whether this process may run on a second CPU, without which a helper
+    process only adds its fork.  A cgroup's CPU quota is not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
 class _History:
     """The history rows of a refine, each ``_pair_kernel_sum(x, cf, INCLUDE)
     / N^2`` of one iterate x, for ``with``.
 
-    With os.fork and at least HISTORY_FORK_WORK of work, a forked helper
-    sums the odd rows: the parent writes each odd iterate's 24N bytes down
-    a pipe and goes on, the helper reads them into a (3, N) buffer of the
-    parent's layout, and it sends its values back once that pipe closes.
-    The pipe's buffer bounds the iterates in flight.  The exit reaps the
+    With os.fork, a second usable CPU and the helper's share of the work,
+    (rows // 2) x N^2, at least HISTORY_FORK_WORK, a forked helper sums the
+    rows // 2 odd rows: the parent writes each odd iterate's 24N bytes down
+    a pipe and goes on, and the helper reads exactly that many iterates
+    into a (3, N) buffer of the parent's layout, then sends back exactly
+    that many values.  No side waits for an end of file, and the parent's
+    waits on a full or empty pipe end once the helper has exited, so a
+    process forked elsewhere that holds a copy of a pipe end (another
+    thread's helper, or a child of the caller) holds up no refine.  The
+    pipe's buffer bounds the iterates in flight.  The exit reaps the
     helper, killing it first if its values were not read, and closes the
     pipes.
     """
 
     def __init__(self, n: int, rows: int):
-        self.n, self.inline, self.sent, self.pid, self.fds = n, [], 0, None, set()
-        if rows * n * n < HISTORY_FORK_WORK or not hasattr(os, "fork"):
+        self.n, self.inline, self.sent, self.fds = n, [], 0, set()
+        self.pid = self.status = None  # the helper, and its wait status once reaped
+        helped = rows // 2
+        if helped * n * n < HISTORY_FORK_WORK or not hasattr(os, "fork") or not _spare_cpu():
             return
         down_r, self.down, self.up, up_w = pipes = (*os.pipe(), *os.pipe())
         self.fds.update(pipes)
@@ -463,14 +478,16 @@ class _History:
             self._close(*pipes)
             return
         if self.pid == 0:
-            self._serve(down_r, up_w)
+            self._serve(down_r, up_w, helped)
         self._close(down_r, up_w)
+        os.set_blocking(self.down, False)
+        os.set_blocking(self.up, False)
 
     def __enter__(self) -> "_History":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.pid is not None:  # the refine raised
+        if self.pid is not None and self.status is None:  # the refine raised
             import signal  # here, not at the top: it is a millisecond of every import
 
             os.kill(self.pid, signal.SIGKILL)
@@ -484,11 +501,14 @@ class _History:
             self.inline.append(self._score(x))
             return
         data = memoryview(x).cast("B")
-        try:
-            while data:
+        while data:
+            try:
                 data = data[os.write(self.down, data):]
-        except BrokenPipeError:
-            raise _lost("closed its pipe") from None
+            except BrokenPipeError:
+                raise _lost("closed its pipe") from None
+            except BlockingIOError:  # the pipe is full
+                if self._gone(self.down, write=True):
+                    raise _lost(f"exited, wait status {self.status}") from None
         self.sent += 1
 
     def rows(self) -> list[float]:
@@ -496,27 +516,57 @@ class _History:
         if self.pid is None:
             return self.inline
         self._close(self.down)
-        with open(self.up, "rb", closefd=False) as up:
-            reply = up.read()
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        if status or len(reply) != 8 * self.sent:
-            raise _lost(f"sent {len(reply)} of {8 * self.sent} bytes, wait status {status}")
+        want, reply = 8 * self.sent, bytearray()
+        while len(reply) < want:
+            try:
+                data = os.read(self.up, want - len(reply))
+            except BlockingIOError:  # nothing to read yet
+                if self._gone(self.up, write=False):
+                    break
+                continue
+            if not data:
+                break
+            reply += data
+        if self.status is None:
+            self.status = os.waitpid(self.pid, 0)[1]
+        if self.status or len(reply) != want:
+            raise _lost(f"sent {len(reply)} of {want} bytes, wait status {self.status}")
         helped, inline = iter(np.frombuffer(reply).tolist()), iter(self.inline)
         return [next(helped if t % 2 else inline) for t in range(len(self.inline) + self.sent)]
 
-    def _serve(self, down_r: int, up_w: int) -> None:
-        """The helper's whole life.  It leaves by os._exit, so it flushes
-        none of the parent's stdio and runs none of its atexit hooks."""
+    def _gone(self, fd: int, write: bool) -> bool:
+        """Wait until the pipe end fd is ready (False), or until the helper
+        has exited, reaping it, with fd still not ready (True)."""
+        import select  # here, not at the top: only a full or empty pipe waits
+
+        poll = select.poll()
+        poll.register(fd, select.POLLOUT if write else select.POLLIN)
+        while not poll.poll(50):
+            if self.status is None:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if pid:
+                    self.status = status
+            if self.status is not None:
+                return not poll.poll(0)
+        return False
+
+    def _serve(self, down_r: int, up_w: int, count: int) -> None:
+        """The helper's whole life: it closes every descriptor but stdio
+        and its two pipe ends, sums count iterates and sends back their
+        values.  It leaves by os._exit, so it flushes none of the parent's
+        stdio and runs none of its atexit hooks."""
         status = 1
         try:
-            self._close(self.down, self.up)
+            low, high = sorted((down_r, up_w))
+            os.closerange(3, low)
+            os.closerange(low + 1, high)
+            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
             with open(down_r, "rb") as down, open(up_w, "wb") as up:
                 x, values = np.empty((3, self.n)), []
-                while down.readinto(x) == x.nbytes:
+                while len(values) < count and down.readinto(x) == x.nbytes:
                     values.append(self._score(x))
                 up.write(np.array(values).tobytes())
-            status = 0
+            status = int(len(values) < count)
         finally:
             os._exit(status)
 
@@ -558,17 +608,19 @@ def riesz_refine(
 
     The history holds, per iteration, the bounded-kernel (cui-freeden)
     mean-pair score of the iterate; ``history=False`` skips it and returns
-    an empty list.  Where ``os.fork`` exists and iterations x N^2 is at
-    least HISTORY_FORK_WORK, one forked helper process sums the odd rows
-    beside the descent: the parent writes each odd iterate's bytes down a
-    pipe without waiting and sums the even rows itself.  Each row is the
+    an empty list.  Where ``os.fork`` exists, the process may run on a
+    second CPU and (iterations // 2) x N^2 is at least HISTORY_FORK_WORK,
+    one forked helper process sums the odd rows beside the descent: the
+    parent writes each odd iterate's bytes down a pipe without waiting and
+    sums the even rows itself.  Each row is the
     same function of the same bytes, so the history is byte for byte the
     inline one.  A row cannot fail in the helper: the iterate is finite
     (the checks above raise first), and the cui-freeden kernel is bounded
     on the clipped half-chords, so its sum is finite.  The helper is reaped
     before this returns or raises; if it dies or sends back fewer rows
-    than it was given, this raises ``RuntimeError``.  Without ``os.fork``,
-    or when a fork fails, every row is summed inline.
+    than it was given, this raises ``RuntimeError``.  Refines in several
+    threads each run their own helper.  Without ``os.fork`` or a second
+    CPU, or when a fork fails, every row is summed inline.
     """
     x = pts.points.T.copy()  # the iterate, updated in place
     s, e, k, n = params.riesz_s, params.riesz_s + 2.0, params.k_neighbors, len(pts)

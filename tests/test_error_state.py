@@ -9,11 +9,13 @@ number of times, however many nodes it places.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy._core import _ufunc_config
 
+from sphereq import pointgen
 from sphereq.discrepancy import (
     EXCLUDE,
     PointSet,
@@ -69,8 +71,10 @@ def _with_duplicate(pts):
 
 
 def _refine_p998():
-    # 11 x 998^2 is above pointgen.HISTORY_FORK_WORK: the history helper runs
-    return riesz_refine(P998, RefineParams(k_neighbors=12, iterations=11))
+    # 5 x 998^2 is above pointgen.HISTORY_FORK_WORK, and a second CPU is
+    # granted: the history helper runs
+    with mock.patch.object(pointgen, "_spare_cpu", lambda: True):
+        return riesz_refine(P998, RefineParams(k_neighbors=12, iterations=11))
 
 
 MU = WeightedMeasure(P20, np.linspace(-1.0, 1.0, 20))

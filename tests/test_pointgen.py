@@ -5,6 +5,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -755,12 +757,13 @@ def test_refine_at_the_benchmark_size_keeps_its_bytes(n, iterations, monkeypatch
     # summing every other row (an odd count at N=300, so the parent sums the
     # last row), against the same run on full-matrix neighbors with every
     # row summed inline
-    assert iterations * n * n >= pointgen.HISTORY_FORK_WORK
+    assert (iterations // 2) * n * n >= pointgen.HISTORY_FORK_WORK
     pts = random_unit_points(n, seed=7)
     params = RefineParams(k_neighbors=12, iterations=iterations)
     forks, fork = [], getattr(os, "fork", None)
     if fork:
         monkeypatch.setattr(os, "fork", lambda: forks.append(0) or fork())
+        monkeypatch.setattr(pointgen, "_spare_cpu", lambda: True)
     out, history = riesz_refine(pts, params)
     assert len(forks) == bool(fork)
     monkeypatch.delattr(os, "fork", raising=False)
@@ -774,9 +777,15 @@ def test_refine_at_the_benchmark_size_keeps_its_bytes(n, iterations, monkeypatch
 
 # --- the history helper process ----------------------------------------------------
 
-# a refine whose history forks a helper: 21 x 998^2 is above the threshold
+# a refine whose history forks a helper: 10 x 998^2 is above the threshold
 HELPED = (random_unit_points(998, seed=7), RefineParams(iterations=21))
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@pytest.fixture
+def second_cpu(monkeypatch):
+    # the helper forks only where a second CPU is usable: grant one
+    monkeypatch.setattr(pointgen, "_spare_cpu", lambda: True)
 
 
 def _open_fds():
@@ -799,13 +808,11 @@ def _deadline(seconds):
 
 @contextlib.contextmanager
 def _nothing_left():
-    # the block ends within a minute, and no child process, running or
-    # exited, and no file descriptor outlives it
+    # the block ends within a minute and no file descriptor outlives it;
+    # conftest.py checks that no child process does
     fds = _open_fds()
     with _deadline(60):
         yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
 
 
@@ -822,6 +829,22 @@ def _after_row(monkeypatch, at, then):
 
 
 @needs_fork
+@pytest.mark.usefixtures("second_cpu")
+@pytest.mark.parametrize(
+    "n, rows, forks", [(998, 1, 0), (998, 6, 1), (141, 200, 0), (142, 200, 1)]
+)
+def test_a_history_forks_where_the_helpers_share_reaches_the_threshold(n, rows, forks, monkeypatch):
+    # the helper's share is rows // 2 rows of N^2 pairs: a 1-iteration
+    # refine forks none, and the CLI's 200-iteration refine forks from N=142
+    got, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: got.append(0) or fork())
+    with _nothing_left(), pointgen._History(n, rows):
+        pass
+    assert len(got) == forks
+
+
+@needs_fork
+@pytest.mark.usefixtures("second_cpu")
 def test_no_helper_outlives_a_refine_that_returns():
     with _nothing_left():
         _, history = riesz_refine(*HELPED)
@@ -829,6 +852,7 @@ def test_no_helper_outlives_a_refine_that_returns():
 
 
 @needs_fork
+@pytest.mark.usefixtures("second_cpu")
 def test_no_helper_outlives_a_refine_that_raises(monkeypatch):
     def fail(history):
         assert history.pid and history.sent == 3  # rows 1, 3 and 5 went to the helper
@@ -839,24 +863,106 @@ def test_no_helper_outlives_a_refine_that_raises(monkeypatch):
         riesz_refine(*HELPED)
 
 
+# the reply of a helper killed before it sent its 10 rows
+NO_REPLY = "sent 0 of 80 bytes, wait status 9"
+
+
+def _kill(history):
+    os.kill(history.pid, signal.SIGKILL)
+    os.waitid(os.P_PID, history.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+
+
+def _stall_last_helper_row(monkeypatch):
+    # the helper stalls before it sums its 10th and last row, so a kill
+    # after that row is handed over always comes before the reply
+    score, parent, rows = pointgen._History._score, os.getpid(), []
+
+    def stalled(self, x):
+        if os.getpid() != parent:
+            rows.append(0)
+            if len(rows) == 10:
+                time.sleep(60)
+        return score(self, x)
+
+    monkeypatch.setattr(pointgen._History, "_score", stalled)
+
+
 @needs_fork
-@pytest.mark.parametrize("at, why", [(5, "closed its pipe"), (20, "sent 0 of 80 bytes")])
-def test_a_refine_raises_when_its_helper_dies(at, why, monkeypatch):
+@pytest.mark.usefixtures("second_cpu")
+@pytest.mark.parametrize(
+    "at, held, why",
+    [
+        (5, False, "closed its pipe"),
+        (19, False, NO_REPLY),
+        (5, True, "exited, wait status 9"),
+        (19, True, NO_REPLY),
+    ],
+)
+def test_a_refine_raises_when_its_helper_dies(at, held, why, monkeypatch):
     # killed mid-run, the next iterate meets a pipe with no reader; killed
-    # after the last row, the reply comes up short
-    def kill(history):
-        os.kill(history.pid, signal.SIGKILL)
-        os.waitid(os.P_PID, history.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    # as it takes the last odd row, the reply comes up short.  Held: a
+    # process forked just before the helper holds a copy of every pipe
+    # end, so the death brings no broken pipe and no end of file, and the
+    # parent, with the down pipe full or the up pipe empty, must see the
+    # exit itself
+    fork, others = os.fork, []
 
-    _after_row(monkeypatch, at, kill)
-    with _nothing_left(), pytest.raises(RuntimeError, match=why):
-        riesz_refine(*HELPED)
+    def fork_after_another():
+        pid = fork()
+        if pid == 0:
+            try:
+                time.sleep(60)
+            finally:
+                os._exit(0)
+        others.append(pid)
+        return fork()
+
+    if held:
+        monkeypatch.setattr(os, "fork", fork_after_another)
+    _stall_last_helper_row(monkeypatch)
+    _after_row(monkeypatch, at, _kill)
+    try:
+        with _nothing_left(), pytest.raises(RuntimeError, match=why):
+            riesz_refine(*HELPED)
+    finally:
+        for pid in others:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert len(others) == held
 
 
 @needs_fork
+@pytest.mark.usefixtures("second_cpu")
+def test_refines_in_two_threads_get_the_serial_bytes(monkeypatch):
+    # both threads make their pipes before either forks, so each helper is
+    # born holding the other refine's pipe ends; neither refine may wait on
+    # the other's helper
+    expect, expect_history = riesz_refine(*HELPED)
+    gate, fork, got = threading.Barrier(2, timeout=60), os.fork, [None, None]
+
+    def fork_together():
+        gate.wait()
+        return fork()
+
+    def run(slot):
+        out, history = riesz_refine(*HELPED)
+        got[slot] = out.points.tobytes(), np.array(history).tobytes()
+
+    monkeypatch.setattr(os, "fork", fork_together)
+    threads = [threading.Thread(target=run, args=(slot,), daemon=True) for slot in (0, 1)]
+    with _nothing_left():
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert got == [(expect.points.tobytes(), np.array(expect_history).tobytes())] * 2
+
+
+@needs_fork
+@pytest.mark.usefixtures("second_cpu")
 def test_a_refine_raises_on_a_short_reply(monkeypatch):
     # a helper that reads every iterate, sends back one row and exits 0
-    def serve(self, down_r, up_w):
+    def serve(self, down_r, up_w, count):
         os.close(self.down)
         os.close(self.up)
         with open(down_r, "rb") as down:
@@ -871,6 +977,7 @@ def test_a_refine_raises_on_a_short_reply(monkeypatch):
 
 
 @needs_fork
+@pytest.mark.usefixtures("second_cpu")
 def test_a_refine_sums_inline_when_no_process_can_be_forked(monkeypatch):
     def refuse():
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -879,6 +986,23 @@ def test_a_refine_sums_inline_when_no_process_can_be_forked(monkeypatch):
     monkeypatch.setattr(os, "fork", refuse)
     with _nothing_left():
         out, history = riesz_refine(*HELPED)
+    assert out.points.tobytes() == expect.points.tobytes()
+    assert np.array(history).tobytes() == np.array(expect_history).tobytes()
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_refine_bound_to_one_cpu_sums_inline(monkeypatch):
+    # the calling thread bound to one CPU: a helper would only add its fork
+    expect, expect_history = riesz_refine(*HELPED)
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        with _nothing_left():
+            out, history = riesz_refine(*HELPED)
+    finally:
+        os.sched_setaffinity(0, cpus)
     assert out.points.tobytes() == expect.points.tobytes()
     assert np.array(history).tobytes() == np.array(expect_history).tobytes()
 
